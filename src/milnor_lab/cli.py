@@ -81,7 +81,24 @@ def _add_bounds(parser):
     parser.add_argument("--max-int", type=int, required=True)
 
 
+# the family flags each family reads; giving any other one is an input error
+_FAMILY_FLAGS = {
+    "monomial": ("p", "q"),
+    "power": ("base", "exponent"),
+    "quasihomogeneous": ("qh_branch",),
+}
+
+
 def _load_datum(args):
+    wanted = _FAMILY_FLAGS.get(args.family, ())
+    for flags in _FAMILY_FLAGS.values():
+        for flag in flags:
+            if flag not in wanted and getattr(args, flag) is not None:
+                name = "--" + flag.replace("_", "-")
+                raise CurveSpecError(
+                    f"{name} does not apply to --family {args.family}" if args.family
+                    else f"{name} needs --family"
+                )
     if args.family:
         if args.spec is not None:
             raise CurveSpecError("give either a spec or --family, not both")
@@ -147,7 +164,11 @@ def cmd_verify(args) -> int:
         properties = [p.strip() for p in args.properties.split(",") if p.strip()]
     jobs = args.jobs
     if jobs is None:
-        jobs = int(os.environ.get("MILNOR_LAB_JOBS", "1"))
+        raw = os.environ.get("MILNOR_LAB_JOBS", "1")
+        try:
+            jobs = int(raw)
+        except ValueError:
+            raise CurveSpecError(f"MILNOR_LAB_JOBS must be an integer, got {raw!r}") from None
     if jobs < 1:
         raise CurveSpecError("--jobs must be >= 1")
     result = run_sweep(bounds, properties, jobs)

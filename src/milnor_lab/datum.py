@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .errors import CurveSpecError, ValidationError
@@ -54,6 +55,11 @@ class EquisingularDatum:
 
     def intersection(self, i: int, j: int) -> int:
         return self.intersections[i][j]
+
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """What ``validate`` reports, computed once per datum object."""
+        return tuple(validate(self))
 
 
 @dataclass(frozen=True)
@@ -98,9 +104,9 @@ def validate(datum: EquisingularDatum) -> list[str]:
     if r < 1:
         violations.append("at least one branch required")
     for n, b in enumerate(datum.branches, start=1):
-        if not isinstance(b.multiplicity, int) or b.multiplicity < 1:
+        if type(b.multiplicity) is not int or b.multiplicity < 1:
             violations.append(f"branch {n}: multiplicity must be an integer >= 1")
-        if not isinstance(b.delta, int) or b.delta < 0:
+        if type(b.delta) is not int or b.delta < 0:
             violations.append(f"branch {n}: delta must be an integer >= 0")
     mat = datum.intersections
     if len(mat) != r or any(len(row) != r for row in mat):
@@ -109,7 +115,7 @@ def validate(datum: EquisingularDatum) -> list[str]:
     for i in range(r):
         for j in range(r):
             v = mat[i][j]
-            if not isinstance(v, int) or v < 0:
+            if type(v) is not int or v < 0:
                 violations.append(f"I[{i + 1}][{j + 1}] must be a non-negative integer")
     for i in range(r):
         if mat[i][i] != 0:
@@ -117,7 +123,7 @@ def validate(datum: EquisingularDatum) -> list[str]:
         for j in range(i + 1, r):
             if mat[i][j] != mat[j][i]:
                 violations.append(f"symmetry: I[{i + 1}][{j + 1}] != I[{j + 1}][{i + 1}]")
-            elif mat[i][j] < 1:
+            elif type(mat[i][j]) is int and mat[i][j] < 1:
                 violations.append(
                     f"I[{i + 1}][{j + 1}] >= 1 required (distinct germs through the origin meet)"
                 )
@@ -125,9 +131,8 @@ def validate(datum: EquisingularDatum) -> list[str]:
 
 
 def require_valid(datum: EquisingularDatum) -> EquisingularDatum:
-    violations = validate(datum)
-    if violations:
-        raise ValidationError(violations)
+    if datum.violations:
+        raise ValidationError(datum.violations)
     return datum
 
 
@@ -287,12 +292,13 @@ def _check_keys(obj, allowed, where="curve-spec", required=None):
 def parse_datum(text: str) -> EquisingularDatum:
     """Parse a curve-spec document; raises CurveSpecError with position on bad JSON."""
     try:
-        obj = json.loads(text)
+        return expand_spec(json.loads(text))
     except json.JSONDecodeError as exc:
         raise CurveSpecError(
             f"syntax error at line {exc.lineno} column {exc.colno} (char {exc.pos}): {exc.msg}"
         ) from exc
-    return expand_spec(obj)
+    except RecursionError as exc:
+        raise CurveSpecError("curve-spec is nested too deeply") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ realizes the Milnor monodromy on components.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .datum import EquisingularDatum, Branch, require_valid
@@ -143,30 +144,86 @@ def euler_characteristic_closed(datum: EquisingularDatum) -> int:
     return total
 
 
+@dataclass(frozen=True)
+class FibreAnalysis:
+    """The fibre graph of one datum and what it yields, each computed at most once."""
+
+    datum: EquisingularDatum
+
+    @cached_property
+    def graph(self) -> FibreGraph:
+        return build_fibre_graph(self.datum)
+
+    @cached_property
+    def labels(self) -> list[int]:
+        return self.graph.component_labels()
+
+    @cached_property
+    def d(self) -> int:
+        return max(self.labels) + 1
+
+    @cached_property
+    def chi(self) -> int:
+        return self.graph.vertex_count - self.graph.edge_count
+
+    @property
+    def b1(self) -> int:
+        return self.d - self.chi
+
+    @cached_property
+    def monodromy(self) -> ComponentMonodromy:
+        graph, labels = self.graph, self.labels
+        sigma = _shift_permutation(graph)
+        original = sorted((min(u, v), max(u, v)) for u, v in graph.edges)
+        mapped = sorted(
+            (min(sigma[u], sigma[v]), max(sigma[u], sigma[v])) for u, v in graph.edges
+        )
+        if original != mapped:
+            raise InternalInconsistencyError(
+                "sheet shift is not a graph automorphism (gluing convention broken)"
+            )
+        perm = [-1] * self.d
+        for v in range(graph.vertex_count):
+            src, dst = labels[v], labels[sigma[v]]
+            if perm[src] == -1:
+                perm[src] = dst
+            elif perm[src] != dst:
+                raise InternalInconsistencyError(
+                    "shift maps one component to two different components"
+                )
+        return ComponentMonodromy(tuple(perm), _cycle_type(perm))
+
+
+_analyses = lru_cache(maxsize=2)(FibreAnalysis)
+
+
+def analyse(datum: EquisingularDatum) -> FibreAnalysis:
+    """The shared fibre analysis of a datum, validated first.
+
+    The last two datums are remembered by value, so the public functions
+    called on one datum share one graph: a sweep reads a datum and its
+    gcd-reduced datum, ``analyze`` reads one.
+    """
+    # validation precedes the lookup: True == 1 and 1.0 == 1, so an invalid
+    # datum can compare equal to a valid one
+    return _analyses(require_valid(datum))
+
+
 def fibre_summary(datum: EquisingularDatum) -> FibreSummary:
     """Components, b_1 and chi of the fibre, each checked by two routes."""
-    graph = build_fibre_graph(datum)
-    labels = graph.component_labels()
-    d = max(labels) + 1
-    chi = graph.vertex_count - graph.edge_count
+    analysis = analyse(datum)
+    d, chi = analysis.d, analysis.chi
     chi_closed = euler_characteristic_closed(datum)
     if chi != chi_closed:
         raise InternalInconsistencyError(
             f"chi mismatch: graph V-E gives {chi}, closed form gives {chi_closed}"
         )
-    d_gcd = _gcd_all(datum.multiplicities)
+    d_gcd = gcd(*datum.multiplicities)
     if d != d_gcd:
         raise InternalInconsistencyError(
             f"component mismatch: union-find gives {d}, gcd of multiplicities gives {d_gcd}"
         )
-    return FibreSummary(d=d, b1=d - chi, chi=chi, chi_closed_form=chi_closed)
-
-
-def _gcd_all(values) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g
+    return FibreSummary(d=d, b1=analysis.b1, chi=chi, chi_closed_form=chi_closed)
 
 
 def _shift_permutation(graph: FibreGraph) -> list[int]:
@@ -183,31 +240,7 @@ def _shift_permutation(graph: FibreGraph) -> list[int]:
 
 def component_monodromy(datum: EquisingularDatum) -> ComponentMonodromy:
     """Permutation of fibre components induced by the sheet shift a -> a + 1."""
-    graph = build_fibre_graph(datum)
-    sigma = _shift_permutation(graph)
-
-    original = sorted((min(u, v), max(u, v)) for u, v in graph.edges)
-    mapped = sorted(
-        (min(sigma[u], sigma[v]), max(sigma[u], sigma[v])) for u, v in graph.edges
-    )
-    if original != mapped:
-        raise InternalInconsistencyError(
-            "sheet shift is not a graph automorphism (gluing convention broken)"
-        )
-
-    labels = graph.component_labels()
-    d = max(labels) + 1
-    perm = [-1] * d
-    for v in range(graph.vertex_count):
-        src, dst = labels[v], labels[sigma[v]]
-        if perm[src] == -1:
-            perm[src] = dst
-        elif perm[src] != dst:
-            raise InternalInconsistencyError(
-                "shift maps one component to two different components"
-            )
-    cycle_type = _cycle_type(perm)
-    return ComponentMonodromy(tuple(perm), cycle_type)
+    return analyse(datum).monodromy
 
 
 def _cycle_type(perm) -> tuple[int, ...]:
@@ -229,7 +262,9 @@ def _cycle_type(perm) -> tuple[int, ...]:
 def divide_by_gcd(datum: EquisingularDatum) -> tuple[int, EquisingularDatum]:
     """Split off the gcd: f = g^d with g's multiplicities m_i / d."""
     require_valid(datum)
-    d = _gcd_all(datum.multiplicities)
+    d = gcd(*datum.multiplicities)
+    if d == 1:
+        return d, datum
     reduced = EquisingularDatum(
         tuple(Branch(b.multiplicity // d, b.delta, b.label) for b in datum.branches),
         datum.intersections,

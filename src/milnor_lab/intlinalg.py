@@ -27,12 +27,6 @@ class IntMatrix:
         return IntMatrix(nrows, ncols, entries)
 
     @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(
-            tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-        ))
-
-    @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
         return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 

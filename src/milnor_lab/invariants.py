@@ -13,8 +13,9 @@ from math import gcd
 
 from .datum import EquisingularDatum, require_valid
 from .errors import InternalInconsistencyError, MilnorLabError
-from .fibre import build_fibre_graph, fibre_summary
+from .fibre import analyse, fibre_summary
 from .intlinalg import CokernelPresentation, IntMatrix, cokernel
+from .network import double_point_count
 
 
 class ReducedDatumError(MilnorLabError):
@@ -87,6 +88,11 @@ def singular_branches(datum: EquisingularDatum) -> list[int]:
     return [i for i, b in enumerate(datum.branches) if b.multiplicity >= 2]
 
 
+def is_power_of_smooth(datum: EquisingularDatum) -> bool:
+    """The structural form of f ~ x^r: one branch, and it is smooth (delta 0)."""
+    return datum.r == 1 and datum.branches[0].delta == 0
+
+
 def transversal_data(datum: EquisingularDatum) -> TransversalData:
     """Transversal Milnor fibres along the singular branches (m_i >= 2 only)."""
     require_valid(datum)
@@ -105,7 +111,6 @@ def beta(datum: EquisingularDatum) -> BetaReport:
     relative H_0 vanishes because every component of F meets transversal
     points of every singular branch.  Unreduced homology throughout.
     """
-    require_valid(datum)
     trans = transversal_data(datum)
     if not trans.branches:
         raise ReducedDatumError("beta undefined: isolated singularity")
@@ -115,7 +120,7 @@ def beta(datum: EquisingularDatum) -> BetaReport:
     c1 = value == 0
     c2 = summary.chi == 1 - mu_perp_sum
     c3 = summary.b1 == 0 and summary.d - 1 == mu_perp_sum
-    verdict = datum.r == 1 and datum.branches[0].delta == 0
+    verdict = is_power_of_smooth(datum)
     return BetaReport(
         beta=value,
         b1=summary.b1,
@@ -156,6 +161,14 @@ def vertical_shift(datum: EquisingularDatum, i: int) -> VerticalMonodromy:
     return VerticalMonodromy(i, k, IntMatrix.from_rows(perm))
 
 
+def shift_minus_identity(mono: VerticalMonodromy) -> IntMatrix:
+    """A_i - I, whose cokernel counts the orbits of the vertical shift."""
+    return IntMatrix.from_rows([
+        [v - (1 if a == b else 0) for b, v in enumerate(row)]
+        for a, row in enumerate(mono.permutation_matrix.entries)
+    ])
+
+
 def boundary2_components(datum: EquisingularDatum) -> Boundary2Report:
     """Components of the fibre boundary over the singular set, per branch.
 
@@ -169,20 +182,15 @@ def boundary2_components(datum: EquisingularDatum) -> Boundary2Report:
     sing = singular_branches(datum)
     if not sing:
         raise ReducedDatumError("boundary components undefined: isolated singularity")
-    graph = build_fibre_graph(datum)
-    labels = graph.component_labels()
-    n_components = max(labels) + 1
+    analysis = analyse(datum)
+    graph, labels, n_components = analysis.graph, analysis.labels, analysis.d
 
     entries = []
     for i in sing:
         m = datum.branches[i].multiplicity
         mono = vertical_shift(datum, i)
         g = gcd(m, mono.shift)
-        shifted_minus_id = IntMatrix.from_rows([
-            [mono.permutation_matrix.entries[a][b] - (1 if a == b else 0) for b in range(m)]
-            for a in range(m)
-        ])
-        pres = cokernel(shifted_minus_id)
+        pres = cokernel(shift_minus_identity(mono))
         if pres.free_rank != g or pres.torsion:
             raise InternalInconsistencyError(
                 f"branch {i + 1}: cokernel route gives Z^{pres.free_rank} "
@@ -207,7 +215,6 @@ def check_upper_bound(datum: EquisingularDatum) -> UpperBoundVerdict:
     transversal Milnor numbers.  Under it, the per-branch cokernels must
     be free and every shift k_i must vanish mod m_i.
     """
-    require_valid(datum)
     trans = transversal_data(datum)
     if not trans.branches:
         raise ReducedDatumError("upper-bound check undefined: isolated singularity")
@@ -231,9 +238,8 @@ def classify_xr(datum: EquisingularDatum) -> XrVerdict:
     disagreement would contradict the classification theorem in-model and
     is raised as an internal inconsistency.
     """
-    require_valid(datum)
-    structural = datum.r == 1 and datum.branches[0].delta == 0
     summary = fibre_summary(datum)
+    structural = is_power_of_smooth(datum)
     homological = summary.b1 == 0
     if structural != homological:
         raise InternalInconsistencyError(
@@ -249,8 +255,4 @@ def mu_reduced(datum: EquisingularDatum) -> int:
     require_valid(datum)
     if any(b.multiplicity != 1 for b in datum.branches):
         raise ValueError("mu_reduced needs a reduced datum (all multiplicities 1)")
-    delta_total = sum(b.delta for b in datum.branches)
-    for i in range(datum.r):
-        for j in range(i + 1, datum.r):
-            delta_total += datum.intersections[i][j]
-    return 2 * delta_total - datum.r + 1
+    return 2 * double_point_count(datum) - datum.r + 1

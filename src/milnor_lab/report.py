@@ -9,14 +9,15 @@ from __future__ import annotations
 import json
 
 from ._version import __version__
-from .datum import EquisingularDatum, require_valid, serialize_datum
+from .datum import EquisingularDatum, serialize_datum
 from .fibre import component_monodromy, divide_by_gcd, fibre_summary
-from .intlinalg import IntMatrix, smith_normal_form
+from .intlinalg import smith_normal_form
 from .invariants import (
     beta,
     boundary2_components,
     check_upper_bound,
     classify_xr,
+    shift_minus_identity,
     transversal_data,
     vertical_shift,
 )
@@ -25,7 +26,6 @@ from .network import build_network
 
 def build_analysis(datum: EquisingularDatum, include_snf: bool = False):
     """Assemble the full report; returns (report dict, snf debug lines)."""
-    require_valid(datum)
     summary = fibre_summary(datum)
     mono = component_monodromy(datum)
     trans = transversal_data(datum)
@@ -96,13 +96,7 @@ def build_analysis(datum: EquisingularDatum, include_snf: bool = False):
         }
         if include_snf:
             for e in b2.branches:
-                m = datum.branches[e.branch].multiplicity
-                mono_i = vertical_shift(datum, e.branch)
-                a_minus_i = IntMatrix.from_rows([
-                    [mono_i.permutation_matrix.entries[a][b] - (1 if a == b else 0)
-                     for b in range(m)]
-                    for a in range(m)
-                ])
+                a_minus_i = shift_minus_identity(vertical_shift(datum, e.branch))
                 diag = smith_normal_form(a_minus_i).diagonal()
                 snf_lines.append(
                     f"branch {e.branch + 1}: snf diag(A - I) = {list(diag)}"

@@ -10,18 +10,21 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
+from functools import cache, partial
 from math import gcd
 from time import perf_counter
 
 from .datum import CorpusBounds, EquisingularDatum, enumerate_corpus
 from .errors import CurveSpecError
-from .fibre import (
-    build_fibre_graph,
-    component_monodromy,
-    divide_by_gcd,
-    euler_characteristic_closed,
+from .fibre import analyse, component_monodromy, divide_by_gcd, euler_characteristic_closed
+from .invariants import (
+    beta,
+    boundary2_components,
+    check_upper_bound,
+    is_power_of_smooth,
+    mu_reduced,
+    singular_branches,
 )
-from .invariants import beta, boundary2_components, check_upper_bound
 
 
 @dataclass(frozen=True)
@@ -43,135 +46,77 @@ class SweepResult:
     elapsed: float
 
 
-class _DatumContext:
-    """Shared per-datum computations, evaluated lazily."""
-
-    def __init__(self, datum: EquisingularDatum):
-        self.datum = datum
-        self._graph = None
-        self._labels = None
-        self._beta = None
-
-    @property
-    def graph(self):
-        if self._graph is None:
-            self._graph = build_fibre_graph(self.datum)
-        return self._graph
-
-    @property
-    def labels(self):
-        if self._labels is None:
-            self._labels = self.graph.component_labels()
-        return self._labels
-
-    @property
-    def d_graph(self):
-        return max(self.labels) + 1
-
-    @property
-    def chi_graph(self):
-        return self.graph.vertex_count - self.graph.edge_count
-
-    @property
-    def b1_graph(self):
-        return self.d_graph - self.chi_graph
-
-    @property
-    def is_singular(self):
-        return any(b.multiplicity >= 2 for b in self.datum.branches)
-
-    @property
-    def beta_report(self):
-        if self._beta is None:
-            self._beta = beta(self.datum)
-        return self._beta
-
-
-def _gcd_all(values):
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g
-
-
 # --- property checks -------------------------------------------------------
-# each returns a list of (expected, got, documented) triples
+# each takes the datum's FibreAnalysis and a zero-argument beta report getter,
+# and returns a list of (expected, got, documented) triples
 
-def _prop_lemma_d_gcd(ctx):
-    expected = _gcd_all(ctx.datum.multiplicities)
-    if ctx.d_graph != expected:
-        return [(f"b0 = gcd(m_i) = {expected}", f"b0 = {ctx.d_graph}", False)]
+def _prop_lemma_d_gcd(fa, beta_report):
+    expected = gcd(*fa.datum.multiplicities)
+    if fa.d != expected:
+        return [(f"b0 = gcd(m_i) = {expected}", f"b0 = {fa.d}", False)]
     return []
 
 
-def _prop_two_route_chi(ctx):
-    closed = euler_characteristic_closed(ctx.datum)
-    if ctx.chi_graph != closed:
-        return [(f"V - E = closed form = {closed}", f"V - E = {ctx.chi_graph}", False)]
+def _prop_two_route_chi(fa, beta_report):
+    closed = euler_characteristic_closed(fa.datum)
+    if fa.chi != closed:
+        return [(f"V - E = closed form = {closed}", f"V - E = {fa.chi}", False)]
     return []
 
 
-def _prop_mu_reduced(ctx):
-    if any(b.multiplicity != 1 for b in ctx.datum.branches):
+def _prop_mu_reduced(fa, beta_report):
+    if any(b.multiplicity != 1 for b in fa.datum.branches):
         return []
-    datum = ctx.datum
-    delta_total = sum(b.delta for b in datum.branches) + sum(
-        datum.intersections[i][j]
-        for i in range(datum.r) for j in range(i + 1, datum.r)
-    )
-    expected = 2 * delta_total - datum.r + 1
-    if ctx.b1_graph != expected:
-        return [(f"b1 = 2*delta_total - r + 1 = {expected}", f"b1 = {ctx.b1_graph}", False)]
+    expected = mu_reduced(fa.datum)
+    if fa.b1 != expected:
+        return [(f"b1 = 2*delta_total - r + 1 = {expected}", f"b1 = {fa.b1}", False)]
     return []
 
 
-def _prop_divide_by_gcd(ctx):
-    d, reduced = divide_by_gcd(ctx.datum)
-    rctx = _DatumContext(reduced)
+def _prop_divide_by_gcd(fa, beta_report):
+    d, reduced = divide_by_gcd(fa.datum)
+    rfa = analyse(reduced)
     out = []
-    triple = (ctx.d_graph, ctx.b1_graph, ctx.chi_graph)
-    rtriple = (rctx.d_graph, rctx.b1_graph, rctx.chi_graph)
-    scaled = tuple(d * x for x in rtriple)
+    triple = (fa.d, fa.b1, fa.chi)
+    scaled = tuple(d * x for x in (rfa.d, rfa.b1, rfa.chi))
     if triple != scaled:
         out.append((f"(b0, b1, chi) = d * reduced = {scaled}", f"{triple}", False))
-    if rctx.d_graph != 1:
-        out.append(("reduced fibre connected (b0 = 1)", f"b0 = {rctx.d_graph}", False))
+    if rfa.d != 1:
+        out.append(("reduced fibre connected (b0 = 1)", f"b0 = {rfa.d}", False))
     return out
 
 
-def _prop_monodromy_cycle(ctx):
-    mono = component_monodromy(ctx.datum)
-    if mono.cycle_type != (ctx.d_graph,):
-        return [(f"cycle type [{ctx.d_graph}]", f"{list(mono.cycle_type)}", False)]
+def _prop_monodromy_cycle(fa, beta_report):
+    mono = component_monodromy(fa.datum)
+    if mono.cycle_type != (fa.d,):
+        return [(f"cycle type [{fa.d}]", f"{list(mono.cycle_type)}", False)]
     return []
 
 
-def _prop_b1_zero_iff_xr(ctx):
-    datum = ctx.datum
-    structural = datum.r == 1 and datum.branches[0].delta == 0
-    homological = ctx.b1_graph == 0
-    if structural != homological:
+def _prop_b1_zero_iff_xr(fa, beta_report):
+    datum = fa.datum
+    if is_power_of_smooth(datum) != (fa.b1 == 0):
         return [(
             "b1 = 0 exactly for a power of a smooth branch",
-            f"r = {datum.r}, delta = {list(datum.deltas)}, b1 = {ctx.b1_graph}",
+            f"r = {datum.r}, delta = {list(datum.deltas)}, b1 = {fa.b1}",
             False,
         )]
     return []
 
 
-def _prop_beta_nonneg(ctx):
-    if not ctx.is_singular:
+def _prop_beta_nonneg(fa, beta_report):
+    if not singular_branches(fa.datum):
         return []
-    value = ctx.beta_report.beta
+    value = beta_report().beta
     if value < 0:
         return [("beta >= 0", f"beta = {value}", False)]
     return []
 
 
-def _prop_corollary_beta0(ctx):
-    if not ctx.is_singular:
+def _prop_corollary_beta0(fa, beta_report):
+    if not singular_branches(fa.datum):
         return []
-    rep = ctx.beta_report
+    rep = beta_report()
     if rep.c1_beta_zero != rep.verdict_bobadilla:
         return [(
             "beta = 0 exactly for a power of a smooth branch",
@@ -181,10 +126,10 @@ def _prop_corollary_beta0(ctx):
     return []
 
 
-def _prop_c1_iff_c3(ctx):
-    if not ctx.is_singular:
+def _prop_c1_iff_c3(fa, beta_report):
+    if not singular_branches(fa.datum):
         return []
-    rep = ctx.beta_report
+    rep = beta_report()
     if rep.c1_beta_zero != rep.c3_homology_form:
         return [(
             "C1 (beta = 0) equivalent to C3 (b1 = 0 and b0 - 1 = sum mu_perp)",
@@ -194,14 +139,14 @@ def _prop_c1_iff_c3(ctx):
     return []
 
 
-def _prop_coker_rank(ctx):
-    if not ctx.is_singular:
+def _prop_coker_rank(fa, beta_report):
+    if not singular_branches(fa.datum):
         return []
     out = []
-    d = ctx.d_graph
-    report = boundary2_components(ctx.datum)
+    d = fa.d
+    report = boundary2_components(fa.datum)
     for entry in report.branches:
-        m = ctx.datum.branches[entry.branch].multiplicity
+        m = fa.datum.branches[entry.branch].multiplicity
         # independent orbit oracle for the shift a -> a + k (mod m)
         seen = set()
         orbits = 0
@@ -234,10 +179,10 @@ def _prop_coker_rank(ctx):
     return out
 
 
-def _prop_upper_bound(ctx):
-    if not ctx.is_singular:
+def _prop_upper_bound(fa, beta_report):
+    if not singular_branches(fa.datum):
         return []
-    verdict = check_upper_bound(ctx.datum)
+    verdict = check_upper_bound(fa.datum)
     if verdict.hypothesis and not verdict.conclusion_holds:
         return [(
             "rank bound attained forces identity vertical monodromies",
@@ -248,10 +193,10 @@ def _prop_upper_bound(ctx):
     return []
 
 
-def _prop_chi_form(ctx):
-    if not ctx.is_singular:
+def _prop_chi_form(fa, beta_report):
+    if not singular_branches(fa.datum):
         return []
-    rep = ctx.beta_report
+    rep = beta_report()
     if rep.c1_beta_zero and not rep.c2_chi_form:
         return [(
             "beta = 0 implies chi(F) = 1 - sum mu_perp",
@@ -294,11 +239,12 @@ def resolve_properties(names=None) -> tuple[str, ...]:
 
 
 def check_datum(index: int, datum: EquisingularDatum, names) -> list[Violation]:
-    ctx = _DatumContext(datum)
+    fa = analyse(datum)
+    beta_report = cache(partial(beta, datum))
     table = dict((name, fn) for name, fn, _ in _REGISTRY)
     violations = []
     for name in names:
-        for expected, got, documented in table[name](ctx):
+        for expected, got, documented in table[name](fa, beta_report):
             violations.append(Violation(index, datum, name, expected, got, documented))
     return violations
 

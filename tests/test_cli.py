@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import milnor_lab.report
 from milnor_lab import InternalInconsistencyError
 from milnor_lab.cli import main
@@ -85,6 +87,36 @@ def test_analyze_invalid_datum(capsys):
     code, _, err = run_cli(capsys, "analyze", bad)
     assert code == 1
     assert ">= 1" in err
+
+
+@pytest.mark.parametrize("entry", ["true", "1.0", '"1"'])
+def test_analyze_non_integer_intersection(capsys, entry):
+    spec = ('{"branches":[{"multiplicity":1,"delta":0},{"multiplicity":1,"delta":0}],'
+            f'"intersections":[[0,{entry}],[{entry},0]]}}')
+    code, out, err = run_cli(capsys, "analyze", spec)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+
+
+def test_analyze_power_nested_too_deep(capsys):
+    depth = 1500
+    spec = '{"family":"power","exponent":1,"base":' * depth + X3 + "}" * depth
+    code, out, err = run_cli(capsys, "analyze", spec)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "monomial", "--p", "3", "--q", "2", "--exponent", "5"],
+    ["--family", "monomial", "--p", "3", "--q", "2", "--qh-branch", "2:3:1"],
+    ["--family", "power", "--base", X3, "--exponent", "2", "--p", "1"],
+    ["--family", "quasihomogeneous", "--qh-branch", "2:3:1", "--base", X3],
+    [X3, "--q", "2"],
+])
+def test_analyze_family_flag_that_does_not_apply(capsys, argv):
+    code, out, err = run_cli(capsys, "analyze", *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
 
 
 def test_analyze_dump_snf(capsys):
@@ -197,6 +229,14 @@ def test_jobs_env_default(capsys, monkeypatch):
                            "--max-mult", "1", "--max-delta", "0", "--max-int", "1")
     assert code == 1
     assert "--jobs" in err
+
+
+def test_jobs_env_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("MILNOR_LAB_JOBS", "abc")
+    code, out, err = run_cli(capsys, "verify", "--max-branches", "1",
+                             "--max-mult", "1", "--max-delta", "0", "--max-int", "1")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "MILNOR_LAB_JOBS" in err
 
 
 def test_bad_flags_exit_1(capsys):

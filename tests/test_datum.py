@@ -6,10 +6,12 @@ import random
 
 import pytest
 
+import milnor_lab
 from milnor_lab import (
     CorpusBounds,
     CurveSpecError,
     QuasiHomBranchSpec,
+    ValidationError,
     canonical_key,
     datum_to_json,
     enumerate_corpus,
@@ -53,6 +55,34 @@ def test_validate_bad_shape():
 def test_validate_nonzero_diagonal():
     violations = validate(make_datum([(1, 0)], [[2]]))
     assert any("diagonal" in v for v in violations)
+
+
+# every public function that computes from a datum; the serializers,
+# canonical_key, double_point_count and the field predicates only read fields
+_DATUM_CONSUMERS = {
+    "build_network": milnor_lab.build_network,
+    "build_fibre_graph": milnor_lab.build_fibre_graph,
+    "analyse": milnor_lab.fibre.analyse,
+    "euler_characteristic_closed": milnor_lab.euler_characteristic_closed,
+    "fibre_summary": milnor_lab.fibre_summary,
+    "component_monodromy": milnor_lab.component_monodromy,
+    "divide_by_gcd": milnor_lab.divide_by_gcd,
+    "transversal_data": milnor_lab.transversal_data,
+    "beta": milnor_lab.beta,
+    "vertical_shift": lambda datum: milnor_lab.vertical_shift(datum, 0),
+    "boundary2_components": milnor_lab.boundary2_components,
+    "check_upper_bound": milnor_lab.check_upper_bound,
+    "classify_xr": milnor_lab.classify_xr,
+    "mu_reduced": milnor_lab.mu_reduced,
+    "build_analysis": milnor_lab.build_analysis,
+    "from_power": lambda datum: from_power(datum, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DATUM_CONSUMERS))
+def test_public_functions_reject_invalid_datum(name):
+    with pytest.raises(ValidationError):
+        _DATUM_CONSUMERS[name](make_datum([(0, -1)], [[0]]))
 
 
 # -- families -----------------------------------------------------------------

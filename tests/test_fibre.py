@@ -4,8 +4,11 @@ from math import gcd
 
 import pytest
 
+import milnor_lab.datum
+import milnor_lab.fibre
 from milnor_lab import (
     CorpusBounds,
+    build_analysis,
     build_fibre_graph,
     component_monodromy,
     divide_by_gcd,
@@ -122,6 +125,28 @@ def test_divide_by_gcd_coprime_identity():
     datum = make_datum([(2, 0), (3, 0)], [[0, 1], [1, 0]])
     d, reduced = divide_by_gcd(datum)
     assert d == 1 and reduced == datum
+
+
+def test_build_analysis_builds_one_graph_and_validates_once(monkeypatch):
+    builds, validations = [], []
+    real_build, real_validate = milnor_lab.fibre.build_fibre_graph, milnor_lab.datum.validate
+
+    def counted_build(datum):
+        builds.append(datum)
+        return real_build(datum)
+
+    def counted_validate(datum):
+        validations.append(datum)
+        return real_validate(datum)
+
+    monkeypatch.setattr(milnor_lab.fibre, "build_fibre_graph", counted_build)
+    monkeypatch.setattr(milnor_lab.datum, "validate", counted_validate)
+    # labels no other test uses, so no earlier analysis of an equal datum is remembered
+    datum = make_datum([(4, 1, "count-a"), (6, 2, "count-b")], [[0, 5], [5, 0]])
+    report, snf_lines = build_analysis(datum, include_snf=True)
+    assert report["beta"] is not None and snf_lines
+    assert len(builds) == 1
+    assert len(validations) <= 2
 
 
 def test_structural_invariants_over_corpus():
