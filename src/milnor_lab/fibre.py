@@ -22,7 +22,7 @@ from math import gcd
 
 from .datum import EquisingularDatum, Branch, require_valid
 from .errors import InternalInconsistencyError
-from .network import build_network
+from .network import NetworkNode, build_network
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,7 @@ class _Gadget:
 @dataclass(frozen=True)
 class FibreGraph:
     datum: EquisingularDatum
+    network: tuple[NetworkNode, ...]  # the nodes the gadgets expand
     sheet_offsets: tuple[int, ...]
     sheet_count: int
     gadgets: tuple[_Gadget, ...]
@@ -109,10 +110,11 @@ def build_fibre_graph(datum: EquisingularDatum) -> FibreGraph:
         total += b.multiplicity
     sheet_count = total
 
+    network = tuple(build_network(datum))
     gadgets = []
     edges = []
     vertex = sheet_count
-    for node in build_network(datum):
+    for node in network:
         bq = node.i if node.j is None else node.j
         g = gcd(node.p, node.q)
         for _ in range(node.copies):
@@ -126,7 +128,7 @@ def build_fibre_graph(datum: EquisingularDatum) -> FibreGraph:
                     edges.append((offsets[bq] + a, av))
             vertex += g
     return FibreGraph(
-        datum, tuple(offsets), sheet_count, tuple(gadgets), tuple(edges), vertex
+        datum, network, tuple(offsets), sheet_count, tuple(gadgets), tuple(edges), vertex
     )
 
 
@@ -174,11 +176,13 @@ class FibreAnalysis:
     def monodromy(self) -> ComponentMonodromy:
         graph, labels = self.graph, self.labels
         sigma = _shift_permutation(graph)
-        original = sorted((min(u, v), max(u, v)) for u, v in graph.edges)
-        mapped = sorted(
-            (min(sigma[u], sigma[v]), max(sigma[u], sigma[v])) for u, v in graph.edges
-        )
-        if original != mapped:
+        # a multiset comparison: self nodes give parallel edges
+        mapped = []
+        for u, v in graph.edges:
+            u, v = sigma[u], sigma[v]
+            mapped.append((u, v) if u <= v else (v, u))
+        mapped.sort()
+        if sorted(graph.edges) != mapped:
             raise InternalInconsistencyError(
                 "sheet shift is not a graph automorphism (gluing convention broken)"
             )

@@ -3,12 +3,15 @@
 Everything here runs on Python's arbitrary-precision integers; there is
 no floating point in this module.  The Smith reduction uses a fixed
 pivot rule (smallest nonzero absolute value, row-major tie-break) so
-that U, S, V are reproducible across runs.
+that U, S, V are reproducible across runs.  The cokernel eliminates unit
+pivots on sparse columns first and runs the Smith reduction only on the
+block that is left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,26 @@ class IntMatrix:
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
+
+
+@dataclass(frozen=True)
+class SparseColumns:
+    """An integer matrix stored column by column as {row: nonzero entry}."""
+
+    rows: int
+    columns: tuple[dict[int, int], ...]
+
+    @staticmethod
+    def from_dense(matrix: IntMatrix) -> "SparseColumns":
+        return SparseColumns(matrix.rows, tuple(
+            {i: row[j] for i, row in enumerate(matrix.entries) if row[j]}
+            for j in range(matrix.cols)
+        ))
+
+    def to_dense(self) -> IntMatrix:
+        return IntMatrix(self.rows, len(self.columns), tuple(
+            tuple(col.get(i, 0) for col in self.columns) for i in range(self.rows)
+        ))
 
 
 @dataclass(frozen=True)
@@ -204,9 +227,62 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     )
 
 
-def cokernel(matrix: IntMatrix) -> CokernelPresentation:
-    """Presentation of Z^rows / (column span of the matrix)."""
-    diag = smith_normal_form(matrix).diagonal()
+def cokernel(matrix: IntMatrix | SparseColumns) -> CokernelPresentation:
+    """Presentation of Z^rows / (column span of the matrix).
+
+    Unit pivots are eliminated first, on sparse columns: take a +-1 entry
+    whose row meets the fewest columns, clear that row from the other
+    columns by column operations, then drop the pivot row and column,
+    which leaves the cokernel unchanged.  The block that is left (rows
+    still live, columns still nonzero) goes to ``smith_normal_form``.
+    """
+    if isinstance(matrix, IntMatrix):
+        matrix = SparseColumns.from_dense(matrix)
+    cols = {j: dict(col) for j, col in enumerate(matrix.columns) if col}
+    meets: dict[int, set[int]] = {}  # row -> columns with a nonzero in it
+    for j, col in cols.items():
+        for i in col:
+            meets.setdefault(i, set()).add(j)
+    heap = [(len(js), i) for i, js in meets.items()]
+    heapify(heap)
+    live = set(range(matrix.rows))
+    while heap:
+        degree, r = heappop(heap)
+        if r not in live or len(meets[r]) != degree:
+            continue  # stale entry; a fresh one was pushed when the row changed
+        units = [j for j in meets[r] if cols[j][r] in (1, -1)]
+        if not units:
+            continue  # pushed again if a column operation changes the row
+        c = min(units, key=lambda j: (len(cols[j]), j))
+        pivot_col = cols.pop(c)
+        unit = pivot_col[r]
+        for j in list(meets[r]):
+            if j == c:
+                continue
+            col = cols[j]
+            q = col[r] * unit
+            for i, v in pivot_col.items():
+                w = col.get(i, 0) - q * v
+                if w:
+                    col[i] = w
+                    meets[i].add(j)
+                else:
+                    del col[i]
+                    meets[i].discard(j)
+            if not col:
+                del cols[j]
+        live.discard(r)
+        del meets[r]
+        for i in pivot_col:
+            if i != r:
+                meets[i].discard(c)
+                heappush(heap, (len(meets[i]), i))
+    order = sorted(live)
+    kept = sorted(cols)
+    block = IntMatrix(len(order), len(kept), tuple(
+        tuple(cols[j].get(i, 0) for j in kept) for i in order
+    ))
+    diag = smith_normal_form(block).diagonal()
     rank = sum(1 for d in diag if d != 0)
     torsion = tuple(d for d in diag if d > 1)
-    return CokernelPresentation(matrix.rows - rank, torsion)
+    return CokernelPresentation(block.rows - rank, torsion)

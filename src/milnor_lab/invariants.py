@@ -14,7 +14,7 @@ from math import gcd
 from .datum import EquisingularDatum, require_valid
 from .errors import InternalInconsistencyError, MilnorLabError
 from .fibre import analyse, fibre_summary
-from .intlinalg import CokernelPresentation, IntMatrix, cokernel
+from .intlinalg import CokernelPresentation, IntMatrix, SparseColumns, cokernel
 from .network import double_point_count
 
 
@@ -38,8 +38,15 @@ class TransversalData:
 @dataclass(frozen=True)
 class VerticalMonodromy:
     branch: int
-    shift: int
-    permutation_matrix: IntMatrix
+    shift: int   # k_i: sheet a goes to sheet (a + k_i) mod m_i
+    m: int
+
+    @property
+    def permutation_matrix(self) -> IntMatrix:
+        m, k = self.m, self.shift
+        return IntMatrix.from_rows(
+            [1 if b == (a + k) % m else 0 for a in range(m)] for b in range(m)
+        )
 
 
 @dataclass(frozen=True)
@@ -154,26 +161,26 @@ def vertical_shift(datum: EquisingularDatum, i: int) -> VerticalMonodromy:
         datum.branches[j].multiplicity * datum.intersections[i][j]
         for j in range(datum.r) if j != i
     )
-    k = winding % m
-    perm = [[0] * m for _ in range(m)]
-    for a in range(m):
-        perm[(a + k) % m][a] = 1
-    return VerticalMonodromy(i, k, IntMatrix.from_rows(perm))
+    return VerticalMonodromy(i, winding % m, m)
 
 
-def shift_minus_identity(mono: VerticalMonodromy) -> IntMatrix:
-    """A_i - I, whose cokernel counts the orbits of the vertical shift."""
-    return IntMatrix.from_rows([
-        [v - (1 if a == b else 0) for b, v in enumerate(row)]
-        for a, row in enumerate(mono.permutation_matrix.entries)
-    ])
+def shift_minus_identity(mono: VerticalMonodromy) -> SparseColumns:
+    """A_i - I, whose cokernel counts the orbits of the vertical shift.
+
+    Column a is e_{(a+k) mod m} - e_a, read off the permutation itself and
+    not from its orbits, so the cokernel route stays independent of gcd.
+    """
+    m, k = mono.m, mono.shift
+    return SparseColumns(m, tuple(
+        {} if (a + k) % m == a else {(a + k) % m: 1, a: -1} for a in range(m)
+    ))
 
 
 def boundary2_components(datum: EquisingularDatum) -> Boundary2Report:
     """Components of the fibre boundary over the singular set, per branch.
 
     Two routes per branch: gcd(m_i, k_i) directly, and the cokernel of
-    (A_i - I) through the Smith normal form; they must agree with no
+    (A_i - I) by exact integer elimination; they must agree with no
     torsion.  chain_ok additionally checks, on the fibre graph, that the
     residue classes of branch-i sheets mod gcd(m_i, k_i) map consistently
     onto the fibre components, so the composed boundary map is onto.

@@ -10,7 +10,7 @@ import json
 
 from ._version import __version__
 from .datum import EquisingularDatum, serialize_datum
-from .fibre import component_monodromy, divide_by_gcd, fibre_summary
+from .fibre import analyse, component_monodromy, divide_by_gcd, fibre_summary
 from .intlinalg import smith_normal_form
 from .invariants import (
     beta,
@@ -21,7 +21,6 @@ from .invariants import (
     transversal_data,
     vertical_shift,
 )
-from .network import build_network
 
 
 def build_analysis(datum: EquisingularDatum, include_snf: bool = False):
@@ -33,7 +32,7 @@ def build_analysis(datum: EquisingularDatum, include_snf: bool = False):
     xr = classify_xr(datum)
 
     network = []
-    for node in build_network(datum):
+    for node in analyse(datum).graph.network:
         if node.kind == "self":
             network.append({
                 "kind": "self",
@@ -97,7 +96,7 @@ def build_analysis(datum: EquisingularDatum, include_snf: bool = False):
         if include_snf:
             for e in b2.branches:
                 a_minus_i = shift_minus_identity(vertical_shift(datum, e.branch))
-                diag = smith_normal_form(a_minus_i).diagonal()
+                diag = smith_normal_form(a_minus_i.to_dense()).diagonal()
                 snf_lines.append(
                     f"branch {e.branch + 1}: snf diag(A - I) = {list(diag)}"
                 )

@@ -8,6 +8,7 @@ from sympy import Matrix as SymMatrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from milnor_lab import IntMatrix, cokernel, determinant, smith_normal_form
+from milnor_lab.intlinalg import CokernelPresentation
 
 
 def _check_decomposition(matrix, dec):
@@ -140,3 +141,31 @@ def test_cyclic_shift_cokernels():
             coker = cokernel(IntMatrix.from_rows(mat))
             assert coker.free_rank == gcd(m, k)  # gcd(m, 0) = m
             assert coker.torsion == ()
+
+
+def _presentation_from_snf(matrix):
+    diag = smith_normal_form(matrix).diagonal()
+    rank = sum(1 for d in diag if d)
+    return CokernelPresentation(matrix.rows - rank, tuple(d for d in diag if d > 1))
+
+
+def test_sparse_cokernel_matches_snf_diagonal():
+    # unit-pivot elimination plus the SNF of the leftover block must give the
+    # presentation read off the dense SNF of the whole matrix
+    rng = random.Random(7)
+    empty_shapes = torsion_without_units = 0
+    for n in range(2400):
+        rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+        density = rng.random()
+        # every fourth matrix avoids +-1, so torsion must survive to the dense block
+        values = [-2, 0, 2, 3] if n % 4 == 0 else list(range(-2, 4))
+        matrix = IntMatrix(rows, cols, tuple(
+            tuple(rng.choice(values) if rng.random() < density else 0 for _ in range(cols))
+            for _ in range(rows)
+        ))
+        expected = _presentation_from_snf(matrix)
+        assert cokernel(matrix) == expected, matrix
+        empty_shapes += rows == 0 or cols == 0
+        has_unit = any(abs(v) == 1 for row in matrix.entries for v in row)
+        torsion_without_units += bool(expected.torsion) and not has_unit
+    assert empty_shapes >= 100 and torsion_without_units >= 100

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+import milnor_lab.intlinalg
 from milnor_lab import (
     ReducedDatumError,
     beta,
@@ -160,6 +161,22 @@ def test_vertical_matrix_is_single_cycle_permutation():
 
 
 # -- boundary components ---------------------------------------------------------
+
+def test_boundary2_dense_smith_form_sees_no_columns(monkeypatch):
+    # unit-pivot elimination empties every column of a shift minus the
+    # identity, so the dense SNF only ever gets a g x 0 block, never m x m
+    original = milnor_lab.intlinalg.smith_normal_form
+    shapes = []
+
+    def recording(matrix):
+        shapes.append((matrix.rows, matrix.cols))
+        return original(matrix)
+
+    monkeypatch.setattr(milnor_lab.intlinalg, "smith_normal_form", recording)
+    report = boundary2_components(from_monomial(200, 199))
+    assert [e.components for e in report.branches] == [1, 1]
+    assert shapes == [(1, 0), (1, 0)]
+
 
 def test_boundary2_xm():
     report = boundary2_components(make_datum([(4, 0)], [[0]]))
