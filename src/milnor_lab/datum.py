@@ -53,9 +53,6 @@ class EquisingularDatum:
     def deltas(self) -> tuple[int, ...]:
         return tuple(b.delta for b in self.branches)
 
-    def intersection(self, i: int, j: int) -> int:
-        return self.intersections[i][j]
-
     @cached_property
     def violations(self) -> tuple[str, ...]:
         """What ``validate`` reports, computed once per datum object."""

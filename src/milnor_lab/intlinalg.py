@@ -63,11 +63,6 @@ class SparseColumns:
             for j in range(matrix.cols)
         ))
 
-    def to_dense(self) -> IntMatrix:
-        return IntMatrix(self.rows, len(self.columns), tuple(
-            tuple(col.get(i, 0) for col in self.columns) for i in range(self.rows)
-        ))
-
 
 @dataclass(frozen=True)
 class SmithDecomposition:
@@ -79,10 +74,6 @@ class SmithDecomposition:
 
     def diagonal(self) -> tuple[int, ...]:
         return self.S.diagonal()
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal() if d != 0)
 
 
 @dataclass(frozen=True)

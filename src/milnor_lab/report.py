@@ -11,15 +11,12 @@ import json
 from ._version import __version__
 from .datum import EquisingularDatum, serialize_datum
 from .fibre import analyse, component_monodromy, divide_by_gcd, fibre_summary
-from .intlinalg import smith_normal_form
 from .invariants import (
     beta,
     boundary2_components,
     check_upper_bound,
     classify_xr,
-    shift_minus_identity,
     transversal_data,
-    vertical_shift,
 )
 
 
@@ -95,11 +92,13 @@ def build_analysis(datum: EquisingularDatum, include_snf: bool = False):
         }
         if include_snf:
             for e in b2.branches:
-                a_minus_i = shift_minus_identity(vertical_shift(datum, e.branch))
-                diag = smith_normal_form(a_minus_i.to_dense()).diagonal()
-                snf_lines.append(
-                    f"branch {e.branch + 1}: snf diag(A - I) = {list(diag)}"
-                )
+                # the Smith diagonal of the m x m matrix A - I is fixed by its
+                # cokernel: units, then the torsion, then one zero per free rank
+                m = datum.branches[e.branch].multiplicity
+                rank = m - e.coker.free_rank
+                torsion = list(e.coker.torsion)
+                diag = [1] * (rank - len(torsion)) + torsion + [0] * (m - rank)
+                snf_lines.append(f"branch {e.branch + 1}: snf diag(A - I) = {diag}")
     else:
         beta_section = None
         vertical = []

@@ -9,6 +9,8 @@ of worker processes.
 from __future__ import annotations
 
 import multiprocessing
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache, partial
 from math import gcd
@@ -29,7 +31,6 @@ from .invariants import (
 
 @dataclass(frozen=True)
 class Violation:
-    index: int
     datum: EquisingularDatum
     prop: str
     expected: str
@@ -223,6 +224,7 @@ _REGISTRY = (
 
 DEFAULT_PROPERTIES = tuple(name for name, _, default in _REGISTRY if default)
 ALL_PROPERTIES = tuple(name for name, _, _ in _REGISTRY)
+_TABLE = {name: fn for name, fn, _ in _REGISTRY}
 
 
 def resolve_properties(names=None) -> tuple[str, ...]:
@@ -238,38 +240,35 @@ def resolve_properties(names=None) -> tuple[str, ...]:
     return tuple(name for name in ALL_PROPERTIES if name in requested)
 
 
-def check_datum(index: int, datum: EquisingularDatum, names) -> list[Violation]:
+# datums handed to a worker per round trip: small enough that memory stays
+# flat, large enough that pickling does not dominate tiny datums
+_CHUNKSIZE = 256
+
+
+def check_datum(datum: EquisingularDatum, names) -> list[Violation]:
     fa = analyse(datum)
     beta_report = cache(partial(beta, datum))
-    table = dict((name, fn) for name, fn, _ in _REGISTRY)
     violations = []
     for name in names:
-        for expected, got, documented in table[name](fa, beta_report):
-            violations.append(Violation(index, datum, name, expected, got, documented))
+        for expected, got, documented in _TABLE[name](fa, beta_report):
+            violations.append(Violation(datum, name, expected, got, documented))
     return violations
 
 
-def _check_chunk(start: int, datums, names) -> list[Violation]:
-    out = []
-    for offset, datum in enumerate(datums):
-        out.extend(check_datum(start + offset, datum, names))
-    return out
-
-
 def run_sweep(bounds: CorpusBounds, properties=None, jobs: int = 1) -> SweepResult:
+    """Check the corpus as it is enumerated; violations keep enumeration
+    order at any job count, because both maps below preserve it."""
     names = resolve_properties(properties)
-    datums = list(enumerate_corpus(bounds))
+    check = partial(check_datum, names=names)
+    workers = min(jobs, os.cpu_count() or 1)
+    checked = 0
+    violations = []
     start_time = perf_counter()
-    if jobs <= 1 or len(datums) < 2:
-        violations = _check_chunk(0, datums, names)
-    else:
-        chunk_size = max(1, len(datums) // (jobs * 8))
-        chunks = [
-            (start, datums[start:start + chunk_size], names)
-            for start in range(0, len(datums), chunk_size)
-        ]
-        with multiprocessing.Pool(jobs) as pool:
-            parts = pool.starmap(_check_chunk, chunks)
-        violations = [v for part in parts for v in part]
+    with (multiprocessing.Pool(workers) if workers > 1 else nullcontext()) as pool:
+        datums = enumerate_corpus(bounds)
+        results = pool.imap(check, datums, _CHUNKSIZE) if pool else map(check, datums)
+        for found in results:
+            checked += 1
+            violations.extend(found)
     elapsed = perf_counter() - start_time
-    return SweepResult(bounds, names, len(datums), violations, elapsed)
+    return SweepResult(bounds, names, checked, violations, elapsed)

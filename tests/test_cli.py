@@ -1,12 +1,15 @@
 """CLI behaviour: commands, exit codes, report shape, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import milnor_lab.intlinalg
 import milnor_lab.report
+import milnor_lab.sweep
 from milnor_lab import InternalInconsistencyError
 from milnor_lab.cli import main
 
@@ -128,6 +131,26 @@ def test_analyze_dump_snf(capsys):
     json.loads(out)  # stdout stays a pure report
 
 
+def test_analyze_dump_snf_sees_no_dense_matrix(capsys, monkeypatch):
+    # the diagonal is read off the cokernel boundary2_components computed,
+    # so no m x m matrix reaches the dense SNF (a dense A - I would be 200 x 200)
+    original = milnor_lab.intlinalg.smith_normal_form
+    shapes = []
+
+    def recording(matrix):
+        shapes.append((matrix.rows, matrix.cols))
+        return original(matrix)
+
+    monkeypatch.setattr(milnor_lab.intlinalg, "smith_normal_form", recording)
+    monkeypatch.setattr(milnor_lab.report, "smith_normal_form", recording, raising=False)
+    code, _, err = run_cli(capsys, "analyze", "--family", "monomial",
+                           "--p", "200", "--q", "199", "--dump-snf")
+    assert code == 0
+    assert err == ("branch 1: snf diag(A - I) = " + str([1] * 199 + [0]) + "\n"
+                   "branch 2: snf diag(A - I) = " + str([1] * 198 + [0]) + "\n")
+    assert shapes and all(rows <= 1 for rows, _ in shapes)
+
+
 def test_analyze_power_family(tmp_path, capsys):
     base = tmp_path / "cusp.json"
     base.write_text('{"family":"quasihomogeneous","branches":[{"a":2,"b":3,"multiplicity":1}]}',
@@ -244,6 +267,68 @@ def test_bad_flags_exit_1(capsys):
     code = main(["verify", "--max-branches", "1"])
     capsys.readouterr()
     assert code == 1
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_bad_bounds(capsys, monkeypatch, jobs):
+    # the bounds are checked on the first datum drawn, which at --jobs 2 is
+    # drawn by the pool's feeder thread
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run_cli(capsys, "verify", "--max-branches", "0", "--max-mult", "1",
+                             "--max-delta", "1", "--max-int", "1", "--jobs", jobs)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "corpus bounds" in err
+
+
+def test_verify_jobs_capped_at_cpu_count(capsys, monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(milnor_lab.sweep.multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run_cli(capsys, "verify", "--max-branches", "1", "--max-mult", "2",
+                             "--max-delta", "1", "--max-int", "1", "--jobs", "64")
+    assert code == 0
+    assert sizes == [2]
+    assert json.loads(out)["checked"] == 4
+    assert "(64 jobs)" in err  # the requested count, not the capped one
+
+
+def test_verify_streams_the_corpus(monkeypatch):
+    # each datum is checked as soon as it is enumerated; a sweep that drains
+    # the corpus into a list first has yielded every datum by then
+    yielded = []
+    seen_at_first_check = []
+    enumerate_corpus = milnor_lab.sweep.enumerate_corpus
+    check_datum = milnor_lab.sweep.check_datum
+
+    def counting(bounds):
+        for datum in enumerate_corpus(bounds):
+            yielded.append(datum)
+            yield datum
+
+    def recording(*args, **kwargs):
+        if not seen_at_first_check:
+            seen_at_first_check.append(len(yielded))
+        return check_datum(*args, **kwargs)
+
+    monkeypatch.setattr(milnor_lab.sweep, "enumerate_corpus", counting)
+    monkeypatch.setattr(milnor_lab.sweep, "check_datum", recording)
+    result = milnor_lab.sweep.run_sweep(milnor_lab.CorpusBounds(2, 2, 1, 1), jobs=1)
+    assert seen_at_first_check == [1]
+    assert result.checked == len(yielded) > 1
 
 
 def test_verify_jobs_byte_identical():
