@@ -93,11 +93,10 @@ def build_analysis(datum: EquisingularDatum, include_snf: bool = False):
         if include_snf:
             for e in b2.branches:
                 # the Smith diagonal of the m x m matrix A - I is fixed by its
-                # cokernel: units, then the torsion, then one zero per free rank
+                # cokernel, which boundary2_components has already checked to be
+                # free: units, then one zero per free rank
                 m = datum.branches[e.branch].multiplicity
-                rank = m - e.coker.free_rank
-                torsion = list(e.coker.torsion)
-                diag = [1] * (rank - len(torsion)) + torsion + [0] * (m - rank)
+                diag = [1] * (m - e.coker.free_rank) + [0] * e.coker.free_rank
                 snf_lines.append(f"branch {e.branch + 1}: snf diag(A - I) = {diag}")
     else:
         beta_section = None

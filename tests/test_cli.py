@@ -1,9 +1,11 @@
 """CLI behaviour: commands, exit codes, report shape, determinism."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -269,18 +271,24 @@ def test_bad_flags_exit_1(capsys):
     assert code == 1
 
 
+def two_usable_cpus(monkeypatch):
+    # two CPUs in this process's affinity set on a host that has eight
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_bad_bounds(capsys, monkeypatch, jobs):
     # the bounds are checked on the first datum drawn, which at --jobs 2 is
     # drawn by the pool's feeder thread
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    two_usable_cpus(monkeypatch)
     code, out, err = run_cli(capsys, "verify", "--max-branches", "0", "--max-mult", "1",
                              "--max-delta", "1", "--max-int", "1", "--jobs", jobs)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and "corpus bounds" in err
 
 
-def test_verify_jobs_capped_at_cpu_count(capsys, monkeypatch):
+def test_verify_jobs_capped_at_usable_cpus(capsys, monkeypatch):
     sizes = []
 
     class InProcessPool:
@@ -297,7 +305,7 @@ def test_verify_jobs_capped_at_cpu_count(capsys, monkeypatch):
             return map(fn, iterable)
 
     monkeypatch.setattr(milnor_lab.sweep.multiprocessing, "Pool", InProcessPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    two_usable_cpus(monkeypatch)
     code, out, err = run_cli(capsys, "verify", "--max-branches", "1", "--max-mult", "2",
                              "--max-delta", "1", "--max-int", "1", "--jobs", "64")
     assert code == 0
@@ -329,6 +337,37 @@ def test_verify_streams_the_corpus(monkeypatch):
     result = milnor_lab.sweep.run_sweep(milnor_lab.CorpusBounds(2, 2, 1, 1), jobs=1)
     assert seen_at_first_check == [1]
     assert result.checked == len(yielded) > 1
+
+
+_check_datum = milnor_lab.sweep.check_datum
+_slow_datum = None
+
+
+def _check_slowly(datum, names):
+    # module level, so that a forked worker can unpickle it by reference
+    if datum == _slow_datum:
+        time.sleep(0.3)
+    return _check_datum(datum, names)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the slowed check reaches the workers by fork")
+def test_verify_violations_keep_order_across_chunks(monkeypatch):
+    # one datum per chunk on two real workers, and the first violating datum
+    # is held back, so later results come back first and must be put back
+    # in enumeration order
+    bounds = milnor_lab.CorpusBounds(2, 4, 1, 2)
+    serial = milnor_lab.sweep.run_sweep(bounds, properties=["prop2-chi-form"], jobs=1)
+    assert len(serial.violations) > 1
+    two_usable_cpus(monkeypatch)
+    monkeypatch.setattr(milnor_lab.sweep, "_CHUNKSIZE", 1)
+    monkeypatch.setattr(milnor_lab.sweep, "check_datum", _check_slowly)
+    monkeypatch.setattr(sys.modules[__name__], "_slow_datum", serial.violations[0].datum)
+    monkeypatch.setattr(milnor_lab.sweep.multiprocessing, "Pool",
+                        multiprocessing.get_context("fork").Pool)
+    parallel = milnor_lab.sweep.run_sweep(bounds, properties=["prop2-chi-form"], jobs=2)
+    assert parallel.violations == serial.violations
+    assert parallel.checked == serial.checked
 
 
 def test_verify_jobs_byte_identical():
