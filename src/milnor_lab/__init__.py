@@ -11,7 +11,6 @@ from .datum import (
     CorpusBounds,
     EquisingularDatum,
     QuasiHomBranchSpec,
-    canonical_key,
     datum_to_json,
     enumerate_corpus,
     from_monomial,
@@ -62,7 +61,7 @@ from .invariants import (
     transversal_data,
     vertical_shift,
 )
-from .network import LocalFibre, NetworkNode, build_network, double_point_count, local_fibre
+from .network import NetworkNode, build_network, double_point_count
 from .report import build_analysis, report_to_json
 from .sweep import DEFAULT_PROPERTIES, SweepResult, Violation, run_sweep
 
@@ -72,7 +71,6 @@ __all__ = [
     "CorpusBounds",
     "EquisingularDatum",
     "QuasiHomBranchSpec",
-    "canonical_key",
     "datum_to_json",
     "enumerate_corpus",
     "from_monomial",
@@ -114,11 +112,9 @@ __all__ = [
     "mu_reduced",
     "transversal_data",
     "vertical_shift",
-    "LocalFibre",
     "NetworkNode",
     "build_network",
     "double_point_count",
-    "local_fibre",
     "build_analysis",
     "report_to_json",
     "DEFAULT_PROPERTIES",

@@ -134,22 +134,33 @@ def _read_spec(source: str):
     stripped = source.lstrip()
     if stripped.startswith("{"):
         return parse_datum(source)
-    path = Path(source)
-    if not path.exists():
-        raise CurveSpecError(f"no such file: {source}")
-    return parse_datum(path.read_text(encoding="utf-8"))
+    try:
+        text = Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise CurveSpecError(f"{source} is not UTF-8 text") from None
+    except OSError as exc:
+        raise CurveSpecError(f"cannot read {source}: {exc.strerror}") from None
+    return parse_datum(text)
 
 
 def cmd_analyze(args) -> int:
     datum = _load_datum(args)
-    report, snf_lines = build_analysis(datum, include_snf=args.dump_snf)
+    report = build_analysis(datum)
     text = report_to_json(report)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise CurveSpecError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
-    for line in snf_lines:
-        print(line, file=sys.stderr)
+    if args.dump_snf:
+        # the cokernel of the m x m matrix A - I is free (the report checks it),
+        # so its Smith diagonal is units, then one zero per free rank
+        for e in report["vertical"]:
+            m = report["datum"]["branches"][e["branch"] - 1]["multiplicity"]
+            diag = [1] * (m - e["coker_free_rank"]) + [0] * e["coker_free_rank"]
+            print(f"branch {e['branch']}: snf diag(A - I) = {diag}", file=sys.stderr)
     return 0
 
 
@@ -160,7 +171,7 @@ def _bounds_from_args(args) -> CorpusBounds:
 def cmd_verify(args) -> int:
     bounds = _bounds_from_args(args)
     properties = None
-    if args.properties:
+    if args.properties is not None:
         properties = [p.strip() for p in args.properties.split(",") if p.strip()]
     jobs = args.jobs
     if jobs is None:

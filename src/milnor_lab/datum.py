@@ -302,23 +302,6 @@ def parse_datum(text: str) -> EquisingularDatum:
 # corpus enumeration
 # ---------------------------------------------------------------------------
 
-def canonical_key(datum: EquisingularDatum):
-    """Label-free canonical form: the lexicographic minimum over all branch
-    permutations of (((m_i, delta_i), ...), intersection matrix)."""
-    r = datum.r
-    best = None
-    for perm in itertools.permutations(range(r)):
-        bt = tuple((datum.branches[p].multiplicity, datum.branches[p].delta) for p in perm)
-        it = tuple(
-            tuple(datum.intersections[perm[i]][perm[j]] for j in range(r))
-            for i in range(r)
-        )
-        key = (bt, it)
-        if best is None or key < best:
-            best = key
-    return best
-
-
 def _stabilizer_perms(branch_types):
     """Permutations of positions preserving the sorted branch-type tuple."""
     groups = []

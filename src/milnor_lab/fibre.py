@@ -39,6 +39,8 @@ class _Gadget:
 
 @dataclass(frozen=True)
 class FibreGraph:
+    """The fibre graph of one datum and what it yields, each computed at most once."""
+
     datum: EquisingularDatum
     network: tuple[NetworkNode, ...]  # the nodes the gadgets expand
     sheet_offsets: tuple[int, ...]
@@ -80,6 +82,64 @@ class FibreGraph:
                 next_label += 1
             labels[v] = labels[root]
         return labels
+
+    @cached_property
+    def labels(self) -> list[int]:
+        return self.component_labels()
+
+    @cached_property
+    def d(self) -> int:
+        return max(self.labels) + 1
+
+    @property
+    def chi(self) -> int:
+        return self.vertex_count - self.edge_count
+
+    @property
+    def b1(self) -> int:
+        return self.d - self.chi
+
+    @cached_property
+    def summary(self) -> FibreSummary:
+        """d and chi, each checked against its closed form."""
+        chi_closed = euler_characteristic_closed(self.datum)
+        if self.chi != chi_closed:
+            raise InternalInconsistencyError(
+                f"chi mismatch: graph V-E gives {self.chi}, closed form gives {chi_closed}"
+            )
+        d_gcd = gcd(*self.datum.multiplicities)
+        if self.d != d_gcd:
+            raise InternalInconsistencyError(
+                f"component mismatch: union-find gives {self.d}, "
+                f"gcd of multiplicities gives {d_gcd}"
+            )
+        return FibreSummary(self.d, self.b1, self.chi, chi_closed)
+
+    @cached_property
+    def monodromy(self) -> ComponentMonodromy:
+        """Permutation of the components induced by the sheet shift."""
+        labels = self.labels
+        sigma = _shift_permutation(self)
+        # a multiset comparison: self nodes give parallel edges
+        mapped = []
+        for u, v in self.edges:
+            u, v = sigma[u], sigma[v]
+            mapped.append((u, v) if u <= v else (v, u))
+        mapped.sort()
+        if sorted(self.edges) != mapped:
+            raise InternalInconsistencyError(
+                "sheet shift is not a graph automorphism (gluing convention broken)"
+            )
+        perm = [-1] * self.d
+        for v in range(self.vertex_count):
+            src, dst = labels[v], labels[sigma[v]]
+            if perm[src] == -1:
+                perm[src] = dst
+            elif perm[src] != dst:
+                raise InternalInconsistencyError(
+                    "shift maps one component to two different components"
+                )
+        return ComponentMonodromy(tuple(perm), _cycle_type(perm))
 
 
 @dataclass(frozen=True)
@@ -146,63 +206,13 @@ def euler_characteristic_closed(datum: EquisingularDatum) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class FibreAnalysis:
-    """The fibre graph of one datum and what it yields, each computed at most once."""
-
-    datum: EquisingularDatum
-
-    @cached_property
-    def graph(self) -> FibreGraph:
-        return build_fibre_graph(self.datum)
-
-    @cached_property
-    def labels(self) -> list[int]:
-        return self.graph.component_labels()
-
-    @cached_property
-    def d(self) -> int:
-        return max(self.labels) + 1
-
-    @cached_property
-    def chi(self) -> int:
-        return self.graph.vertex_count - self.graph.edge_count
-
-    @property
-    def b1(self) -> int:
-        return self.d - self.chi
-
-    @cached_property
-    def monodromy(self) -> ComponentMonodromy:
-        graph, labels = self.graph, self.labels
-        sigma = _shift_permutation(graph)
-        # a multiset comparison: self nodes give parallel edges
-        mapped = []
-        for u, v in graph.edges:
-            u, v = sigma[u], sigma[v]
-            mapped.append((u, v) if u <= v else (v, u))
-        mapped.sort()
-        if sorted(graph.edges) != mapped:
-            raise InternalInconsistencyError(
-                "sheet shift is not a graph automorphism (gluing convention broken)"
-            )
-        perm = [-1] * self.d
-        for v in range(graph.vertex_count):
-            src, dst = labels[v], labels[sigma[v]]
-            if perm[src] == -1:
-                perm[src] = dst
-            elif perm[src] != dst:
-                raise InternalInconsistencyError(
-                    "shift maps one component to two different components"
-                )
-        return ComponentMonodromy(tuple(perm), _cycle_type(perm))
+@lru_cache(maxsize=2)
+def _graph(datum: EquisingularDatum) -> FibreGraph:
+    return build_fibre_graph(datum)
 
 
-_analyses = lru_cache(maxsize=2)(FibreAnalysis)
-
-
-def analyse(datum: EquisingularDatum) -> FibreAnalysis:
-    """The shared fibre analysis of a datum, validated first.
+def analyse(datum: EquisingularDatum) -> FibreGraph:
+    """The fibre graph of a datum, validated first.
 
     The last two datums are remembered by value, so the public functions
     called on one datum share one graph: a sweep reads a datum and its
@@ -210,24 +220,12 @@ def analyse(datum: EquisingularDatum) -> FibreAnalysis:
     """
     # validation precedes the lookup: True == 1 and 1.0 == 1, so an invalid
     # datum can compare equal to a valid one
-    return _analyses(require_valid(datum))
+    return _graph(require_valid(datum))
 
 
 def fibre_summary(datum: EquisingularDatum) -> FibreSummary:
     """Components, b_1 and chi of the fibre, each checked by two routes."""
-    analysis = analyse(datum)
-    d, chi = analysis.d, analysis.chi
-    chi_closed = euler_characteristic_closed(datum)
-    if chi != chi_closed:
-        raise InternalInconsistencyError(
-            f"chi mismatch: graph V-E gives {chi}, closed form gives {chi_closed}"
-        )
-    d_gcd = gcd(*datum.multiplicities)
-    if d != d_gcd:
-        raise InternalInconsistencyError(
-            f"component mismatch: union-find gives {d}, gcd of multiplicities gives {d_gcd}"
-        )
-    return FibreSummary(d=d, b1=analysis.b1, chi=chi, chi_closed_form=chi_closed)
+    return analyse(datum).summary
 
 
 def _shift_permutation(graph: FibreGraph) -> list[int]:

@@ -11,7 +11,6 @@ block that is left.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 
 
 @dataclass(frozen=True)
@@ -28,10 +27,6 @@ class IntMatrix:
         if any(len(row) != ncols for row in entries):
             raise ValueError("ragged rows")
         return IntMatrix(nrows, ncols, entries)
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
     def matmul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -221,11 +216,13 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
 def cokernel(matrix: IntMatrix | SparseColumns) -> CokernelPresentation:
     """Presentation of Z^rows / (column span of the matrix).
 
-    Unit pivots are eliminated first, on sparse columns: take a +-1 entry
-    whose row meets the fewest columns, clear that row from the other
-    columns by column operations, then drop the pivot row and column,
-    which leaves the cokernel unchanged.  The block that is left (rows
-    still live, columns still nonzero) goes to ``smith_normal_form``.
+    Unit pivots are eliminated first, on sparse columns, in one pass over
+    the rows in index order: in a row with a +-1 entry, take the unit
+    whose column is shortest, clear that row from the other columns by
+    column operations, then drop the pivot row and column, which leaves
+    the cokernel unchanged.  The block that is left (rows still live,
+    columns still nonzero) goes to ``smith_normal_form``, which reduces
+    it exactly whatever the pass missed.
     """
     if isinstance(matrix, IntMatrix):
         matrix = SparseColumns.from_dense(matrix)
@@ -234,16 +231,11 @@ def cokernel(matrix: IntMatrix | SparseColumns) -> CokernelPresentation:
     for j, col in cols.items():
         for i in col:
             meets.setdefault(i, set()).add(j)
-    heap = [(len(js), i) for i, js in meets.items()]
-    heapify(heap)
     live = set(range(matrix.rows))
-    while heap:
-        degree, r = heappop(heap)
-        if r not in live or len(meets[r]) != degree:
-            continue  # stale entry; a fresh one was pushed when the row changed
+    for r in sorted(meets):
         units = [j for j in meets[r] if cols[j][r] in (1, -1)]
         if not units:
-            continue  # pushed again if a column operation changes the row
+            continue  # left for the Smith reduction
         c = min(units, key=lambda j: (len(cols[j]), j))
         pivot_col = cols.pop(c)
         unit = pivot_col[r]
@@ -267,7 +259,6 @@ def cokernel(matrix: IntMatrix | SparseColumns) -> CokernelPresentation:
         for i in pivot_col:
             if i != r:
                 meets[i].discard(c)
-                heappush(heap, (len(meets[i]), i))
     order = sorted(live)
     kept = sorted(cols)
     block = IntMatrix(len(order), len(kept), tuple(

@@ -14,7 +14,7 @@ from math import gcd
 from .datum import EquisingularDatum, require_valid
 from .errors import InternalInconsistencyError, MilnorLabError
 from .fibre import analyse, fibre_summary
-from .intlinalg import CokernelPresentation, IntMatrix, SparseColumns, cokernel
+from .intlinalg import CokernelPresentation, SparseColumns, cokernel
 from .network import double_point_count
 
 
@@ -40,13 +40,6 @@ class VerticalMonodromy:
     branch: int
     shift: int   # k_i: sheet a goes to sheet (a + k_i) mod m_i
     m: int
-
-    @property
-    def permutation_matrix(self) -> IntMatrix:
-        m, k = self.m, self.shift
-        return IntMatrix.from_rows(
-            [1 if b == (a + k) % m else 0 for a in range(m)] for b in range(m)
-        )
 
 
 @dataclass(frozen=True)
@@ -189,8 +182,8 @@ def boundary2_components(datum: EquisingularDatum) -> Boundary2Report:
     sing = singular_branches(datum)
     if not sing:
         raise ReducedDatumError("boundary components undefined: isolated singularity")
-    analysis = analyse(datum)
-    graph, labels, n_components = analysis.graph, analysis.labels, analysis.d
+    graph = analyse(datum)
+    labels, n_components = graph.labels, graph.d
 
     entries = []
     for i in sing:

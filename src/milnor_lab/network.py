@@ -10,7 +10,6 @@ gcd(p, q) annuli.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .datum import EquisingularDatum, require_valid
 
@@ -25,20 +24,6 @@ class NetworkNode:
     p: int
     q: int
     copies: int
-
-
-@dataclass(frozen=True)
-class LocalFibre:
-    components: int
-    boundary_circles_side_p: int
-    boundary_circles_side_q: int
-
-
-def local_fibre(p: int, q: int) -> LocalFibre:
-    """Local Milnor fibre of a D[p,q] point: gcd(p, q) annuli."""
-    if p < 1 or q < 1:
-        raise ValueError("D[p,q] requires p, q >= 1")
-    return LocalFibre(gcd(p, q), p, q)
 
 
 def build_network(datum: EquisingularDatum) -> list[NetworkNode]:

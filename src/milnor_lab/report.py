@@ -20,8 +20,8 @@ from .invariants import (
 )
 
 
-def build_analysis(datum: EquisingularDatum, include_snf: bool = False):
-    """Assemble the full report; returns (report dict, snf debug lines)."""
+def build_analysis(datum: EquisingularDatum) -> dict:
+    """Assemble the full report."""
     summary = fibre_summary(datum)
     mono = component_monodromy(datum)
     trans = transversal_data(datum)
@@ -29,7 +29,7 @@ def build_analysis(datum: EquisingularDatum, include_snf: bool = False):
     xr = classify_xr(datum)
 
     network = []
-    for node in analyse(datum).graph.network:
+    for node in analyse(datum).network:
         if node.kind == "self":
             network.append({
                 "kind": "self",
@@ -55,7 +55,6 @@ def build_analysis(datum: EquisingularDatum, include_snf: bool = False):
         "total_points": trans.total_points,
     }
 
-    snf_lines = []
     if trans.branches:
         beta_rep = beta(datum)
         beta_section = {
@@ -90,14 +89,6 @@ def build_analysis(datum: EquisingularDatum, include_snf: bool = False):
             "shifts_identity": ub.shifts_identity,
             "conclusion_holds": ub.conclusion_holds,
         }
-        if include_snf:
-            for e in b2.branches:
-                # the Smith diagonal of the m x m matrix A - I is fixed by its
-                # cokernel, which boundary2_components has already checked to be
-                # free: units, then one zero per free rank
-                m = datum.branches[e.branch].multiplicity
-                diag = [1] * (m - e.coker.free_rank) + [0] * e.coker.free_rank
-                snf_lines.append(f"branch {e.branch + 1}: snf diag(A - I) = {diag}")
     else:
         beta_section = None
         vertical = []
@@ -125,7 +116,7 @@ def build_analysis(datum: EquisingularDatum, include_snf: bool = False):
         },
         "version": __version__,
     }
-    return report, snf_lines
+    return report
 
 
 def report_to_json(report: dict) -> str:

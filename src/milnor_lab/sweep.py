@@ -48,65 +48,65 @@ class SweepResult:
 
 
 # --- property checks -------------------------------------------------------
-# each takes the datum's FibreAnalysis and a zero-argument beta report getter,
+# each takes the datum's FibreGraph and a zero-argument beta report getter,
 # and returns a list of (expected, got, documented) triples
 
-def _prop_lemma_d_gcd(fa, beta_report):
-    expected = gcd(*fa.datum.multiplicities)
-    if fa.d != expected:
-        return [(f"b0 = gcd(m_i) = {expected}", f"b0 = {fa.d}", False)]
+def _prop_lemma_d_gcd(graph, beta_report):
+    expected = gcd(*graph.datum.multiplicities)
+    if graph.d != expected:
+        return [(f"b0 = gcd(m_i) = {expected}", f"b0 = {graph.d}", False)]
     return []
 
 
-def _prop_two_route_chi(fa, beta_report):
-    closed = euler_characteristic_closed(fa.datum)
-    if fa.chi != closed:
-        return [(f"V - E = closed form = {closed}", f"V - E = {fa.chi}", False)]
+def _prop_two_route_chi(graph, beta_report):
+    closed = euler_characteristic_closed(graph.datum)
+    if graph.chi != closed:
+        return [(f"V - E = closed form = {closed}", f"V - E = {graph.chi}", False)]
     return []
 
 
-def _prop_mu_reduced(fa, beta_report):
-    if any(b.multiplicity != 1 for b in fa.datum.branches):
+def _prop_mu_reduced(graph, beta_report):
+    if any(b.multiplicity != 1 for b in graph.datum.branches):
         return []
-    expected = mu_reduced(fa.datum)
-    if fa.b1 != expected:
-        return [(f"b1 = 2*delta_total - r + 1 = {expected}", f"b1 = {fa.b1}", False)]
+    expected = mu_reduced(graph.datum)
+    if graph.b1 != expected:
+        return [(f"b1 = 2*delta_total - r + 1 = {expected}", f"b1 = {graph.b1}", False)]
     return []
 
 
-def _prop_divide_by_gcd(fa, beta_report):
-    d, reduced = divide_by_gcd(fa.datum)
-    rfa = analyse(reduced)
+def _prop_divide_by_gcd(graph, beta_report):
+    d, reduced = divide_by_gcd(graph.datum)
+    rgraph = analyse(reduced)
     out = []
-    triple = (fa.d, fa.b1, fa.chi)
-    scaled = tuple(d * x for x in (rfa.d, rfa.b1, rfa.chi))
+    triple = (graph.d, graph.b1, graph.chi)
+    scaled = tuple(d * x for x in (rgraph.d, rgraph.b1, rgraph.chi))
     if triple != scaled:
         out.append((f"(b0, b1, chi) = d * reduced = {scaled}", f"{triple}", False))
-    if rfa.d != 1:
-        out.append(("reduced fibre connected (b0 = 1)", f"b0 = {rfa.d}", False))
+    if rgraph.d != 1:
+        out.append(("reduced fibre connected (b0 = 1)", f"b0 = {rgraph.d}", False))
     return out
 
 
-def _prop_monodromy_cycle(fa, beta_report):
-    mono = component_monodromy(fa.datum)
-    if mono.cycle_type != (fa.d,):
-        return [(f"cycle type [{fa.d}]", f"{list(mono.cycle_type)}", False)]
+def _prop_monodromy_cycle(graph, beta_report):
+    mono = component_monodromy(graph.datum)
+    if mono.cycle_type != (graph.d,):
+        return [(f"cycle type [{graph.d}]", f"{list(mono.cycle_type)}", False)]
     return []
 
 
-def _prop_b1_zero_iff_xr(fa, beta_report):
-    datum = fa.datum
-    if is_power_of_smooth(datum) != (fa.b1 == 0):
+def _prop_b1_zero_iff_xr(graph, beta_report):
+    datum = graph.datum
+    if is_power_of_smooth(datum) != (graph.b1 == 0):
         return [(
             "b1 = 0 exactly for a power of a smooth branch",
-            f"r = {datum.r}, delta = {list(datum.deltas)}, b1 = {fa.b1}",
+            f"r = {datum.r}, delta = {list(datum.deltas)}, b1 = {graph.b1}",
             False,
         )]
     return []
 
 
-def _prop_beta_nonneg(fa, beta_report):
-    if not singular_branches(fa.datum):
+def _prop_beta_nonneg(graph, beta_report):
+    if not singular_branches(graph.datum):
         return []
     value = beta_report().beta
     if value < 0:
@@ -114,8 +114,8 @@ def _prop_beta_nonneg(fa, beta_report):
     return []
 
 
-def _prop_corollary_beta0(fa, beta_report):
-    if not singular_branches(fa.datum):
+def _prop_corollary_beta0(graph, beta_report):
+    if not singular_branches(graph.datum):
         return []
     rep = beta_report()
     if rep.c1_beta_zero != rep.verdict_bobadilla:
@@ -127,8 +127,8 @@ def _prop_corollary_beta0(fa, beta_report):
     return []
 
 
-def _prop_c1_iff_c3(fa, beta_report):
-    if not singular_branches(fa.datum):
+def _prop_c1_iff_c3(graph, beta_report):
+    if not singular_branches(graph.datum):
         return []
     rep = beta_report()
     if rep.c1_beta_zero != rep.c3_homology_form:
@@ -140,14 +140,14 @@ def _prop_c1_iff_c3(fa, beta_report):
     return []
 
 
-def _prop_coker_rank(fa, beta_report):
-    if not singular_branches(fa.datum):
+def _prop_coker_rank(graph, beta_report):
+    if not singular_branches(graph.datum):
         return []
     out = []
-    d = fa.d
-    report = boundary2_components(fa.datum)
+    d = graph.d
+    report = boundary2_components(graph.datum)
     for entry in report.branches:
-        m = fa.datum.branches[entry.branch].multiplicity
+        m = graph.datum.branches[entry.branch].multiplicity
         # independent orbit oracle for the shift a -> a + k (mod m)
         seen = set()
         orbits = 0
@@ -180,10 +180,10 @@ def _prop_coker_rank(fa, beta_report):
     return out
 
 
-def _prop_upper_bound(fa, beta_report):
-    if not singular_branches(fa.datum):
+def _prop_upper_bound(graph, beta_report):
+    if not singular_branches(graph.datum):
         return []
-    verdict = check_upper_bound(fa.datum)
+    verdict = check_upper_bound(graph.datum)
     if verdict.hypothesis and not verdict.conclusion_holds:
         return [(
             "rank bound attained forces identity vertical monodromies",
@@ -194,8 +194,8 @@ def _prop_upper_bound(fa, beta_report):
     return []
 
 
-def _prop_chi_form(fa, beta_report):
-    if not singular_branches(fa.datum):
+def _prop_chi_form(graph, beta_report):
+    if not singular_branches(graph.datum):
         return []
     rep = beta_report()
     if rep.c1_beta_zero and not rep.c2_chi_form:
@@ -231,6 +231,8 @@ def resolve_properties(names=None) -> tuple[str, ...]:
     """Normalize a requested property list to registry order."""
     if names is None:
         return DEFAULT_PROPERTIES
+    if not names:
+        raise CurveSpecError(f"no property named; available: {', '.join(ALL_PROPERTIES)}")
     requested = set(names)
     unknown = requested - set(ALL_PROPERTIES)
     if unknown:
@@ -248,11 +250,11 @@ _CHUNKSIZE = 64
 
 
 def check_datum(datum: EquisingularDatum, names) -> list[Violation]:
-    fa = analyse(datum)
+    graph = analyse(datum)
     beta_report = cache(partial(beta, datum))
     violations = []
     for name in names:
-        for expected, got, documented in _TABLE[name](fa, beta_report):
+        for expected, got, documented in _TABLE[name](graph, beta_report):
             violations.append(Violation(datum, name, expected, got, documented))
     return violations
 

@@ -1,0 +1,50 @@
+"""Test-only oracles: plain restatements that the package itself never needs."""
+
+import itertools
+from dataclasses import dataclass
+from math import gcd
+
+from milnor_lab import IntMatrix
+
+
+def canonical_key(datum):
+    """Label-free canonical form: the lexicographic minimum over all branch
+    permutations of (((m_i, delta_i), ...), intersection matrix)."""
+    r = datum.r
+    best = None
+    for perm in itertools.permutations(range(r)):
+        bt = tuple((datum.branches[p].multiplicity, datum.branches[p].delta) for p in perm)
+        it = tuple(
+            tuple(datum.intersections[perm[i]][perm[j]] for j in range(r))
+            for i in range(r)
+        )
+        key = (bt, it)
+        if best is None or key < best:
+            best = key
+    return best
+
+
+@dataclass(frozen=True)
+class LocalFibre:
+    components: int
+    boundary_circles_side_p: int
+    boundary_circles_side_q: int
+
+
+def local_fibre(p: int, q: int) -> LocalFibre:
+    """Local Milnor fibre of a D[p,q] point: gcd(p, q) annuli."""
+    if p < 1 or q < 1:
+        raise ValueError("D[p,q] requires p, q >= 1")
+    return LocalFibre(gcd(p, q), p, q)
+
+
+def zeros(rows: int, cols: int) -> IntMatrix:
+    return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
+
+
+def permutation_matrix(mono) -> IntMatrix:
+    """The m x m matrix of a vertical monodromy: sheet a goes to (a + k) mod m."""
+    m, k = mono.m, mono.shift
+    return IntMatrix.from_rows(
+        [1 if b == (a + k) % m else 0 for a in range(m)] for b in range(m)
+    )

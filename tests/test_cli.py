@@ -87,6 +87,25 @@ def test_analyze_missing_file(capsys):
     assert code == 1
 
 
+def _unreadable(kind, tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"branches":[{"label":"\xe9","multiplicity":3,"delta":0}],'
+                    b'"intersections":[[0]]}')
+    return {
+        "not-utf8": [str(bad)],
+        "base-not-utf8": ["--family", "power", "--base", str(bad), "--exponent", "2"],
+        "directory": [str(tmp_path)],
+        "out-dir-missing": [X3, "--out", str(tmp_path / "missing" / "report.json")],
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["not-utf8", "base-not-utf8", "directory", "out-dir-missing"])
+def test_analyze_unreadable_path(tmp_path, capsys, kind):
+    code, out, err = run_cli(capsys, "analyze", *_unreadable(kind, tmp_path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+
+
 def test_analyze_invalid_datum(capsys):
     bad = '{"branches":[{"multiplicity":1,"delta":0},{"multiplicity":1,"delta":0}],"intersections":[[0,0],[0,0]]}'
     code, _, err = run_cli(capsys, "analyze", bad)
@@ -240,6 +259,15 @@ def test_verify_unknown_property(capsys):
                            "--properties", "no-such-prop")
     assert code == 1
     assert "unknown properties" in err
+
+
+@pytest.mark.parametrize("names", ["", " , "])
+def test_verify_properties_naming_nothing(capsys, names):
+    code, out, err = run_cli(capsys, "verify", "--max-branches", "1",
+                             "--max-mult", "1", "--max-delta", "0", "--max-int", "1",
+                             "--properties", names)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_trivial_bounds(capsys):

@@ -12,7 +12,6 @@ from milnor_lab import (
     CurveSpecError,
     QuasiHomBranchSpec,
     ValidationError,
-    canonical_key,
     datum_to_json,
     enumerate_corpus,
     from_monomial,
@@ -24,6 +23,7 @@ from milnor_lab import (
     serialize_datum,
     validate,
 )
+from oracles import canonical_key
 
 
 # -- validation ---------------------------------------------------------------

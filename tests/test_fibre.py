@@ -6,6 +6,7 @@ import pytest
 
 import milnor_lab.datum
 import milnor_lab.fibre
+import milnor_lab.sweep
 from milnor_lab import (
     CorpusBounds,
     build_analysis,
@@ -127,26 +128,36 @@ def test_divide_by_gcd_coprime_identity():
     assert d == 1 and reduced == datum
 
 
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(datum):
+        calls.append(datum)
+        return real(datum)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_build_analysis_builds_one_graph_and_validates_once(monkeypatch):
-    builds, validations = [], []
-    real_build, real_validate = milnor_lab.fibre.build_fibre_graph, milnor_lab.datum.validate
-
-    def counted_build(datum):
-        builds.append(datum)
-        return real_build(datum)
-
-    def counted_validate(datum):
-        validations.append(datum)
-        return real_validate(datum)
-
-    monkeypatch.setattr(milnor_lab.fibre, "build_fibre_graph", counted_build)
-    monkeypatch.setattr(milnor_lab.datum, "validate", counted_validate)
+    builds = _count_calls(monkeypatch, milnor_lab.fibre, "build_fibre_graph")
+    validations = _count_calls(monkeypatch, milnor_lab.datum, "validate")
+    closed_forms = _count_calls(monkeypatch, milnor_lab.fibre, "euler_characteristic_closed")
     # labels no other test uses, so no earlier analysis of an equal datum is remembered
     datum = make_datum([(4, 1, "count-a"), (6, 2, "count-b")], [[0, 5], [5, 0]])
-    report, snf_lines = build_analysis(datum, include_snf=True)
-    assert report["beta"] is not None and snf_lines
+    report = build_analysis(datum)
+    assert report["beta"] is not None and report["vertical"]
     assert len(builds) == 1
     assert len(validations) <= 2
+    assert len(closed_forms) == 1
+
+
+def test_check_datum_runs_the_closed_form_once(monkeypatch):
+    closed_forms = _count_calls(monkeypatch, milnor_lab.fibre, "euler_characteristic_closed")
+    datum = make_datum([(4, 1, "sweep-a"), (6, 2, "sweep-b")], [[0, 5], [5, 0]])
+    assert milnor_lab.sweep.check_datum(datum, milnor_lab.sweep.DEFAULT_PROPERTIES) == []
+    assert len(closed_forms) == 1
 
 
 def test_structural_invariants_over_corpus():

@@ -19,6 +19,7 @@ from milnor_lab import (
     transversal_data,
     vertical_shift,
 )
+from oracles import permutation_matrix
 
 
 # -- transversal data ---------------------------------------------------------
@@ -105,7 +106,7 @@ def _track_roots(m, winding, steps=400):
 def test_vertical_shift_single_branch_identity():
     mono = vertical_shift(make_datum([(4, 2)], [[0]]), 0)
     assert mono.shift == 0
-    assert mono.permutation_matrix.entries == tuple(
+    assert permutation_matrix(mono).entries == tuple(
         tuple(1 if i == j else 0 for j in range(4)) for i in range(4)
     )
 
@@ -154,7 +155,7 @@ def test_vertical_matrix_is_single_cycle_permutation():
     datum = make_datum([(6, 0), (1, 0)], [[0, 4], [4, 0]])
     mono = vertical_shift(datum, 0)
     assert mono.shift == 4
-    matrix = mono.permutation_matrix.entries
+    matrix = permutation_matrix(mono).entries
     assert all(sum(row) == 1 for row in matrix)
     assert all(sum(col) == 1 for col in zip(*matrix))
     assert all(matrix[(a + 4) % 6][a] == 1 for a in range(6))

@@ -8,9 +8,9 @@ from milnor_lab import (
     build_network,
     double_point_count,
     from_monomial,
-    local_fibre,
     make_datum,
 )
+from oracles import local_fibre
 
 
 def test_build_network_mixed():
