@@ -12,6 +12,15 @@ Sheet a of branch i attaches to annulus c of a node iff a = c mod gcd;
 at a self node annulus c simply joins sheet c to itself on both sides.
 The sheet shift a -> a+1 (mod m_i) is an automorphism of the graph and
 realizes the Milnor monodromy on components.
+
+A node of the network stands for ``copies`` identical double points
+(I_ij crossings or delta_i self points).  Their gadgets join the same
+sheets in the same way, so extra copies change neither connectivity nor
+the sheet shift; they only add to V - E.  One gadget per distinct double
+point is built, weighted by its copies: ``vertex_count`` and
+``edge_count`` count the full expansion, while union-find and the shift
+run on the ``size`` vertices actually built, whose number does not depend
+on delta_i or I_ij.
 """
 
 from __future__ import annotations
@@ -27,7 +36,8 @@ from .network import NetworkNode, build_network
 
 @dataclass(frozen=True)
 class _Gadget:
-    """One expanded double point: g annuli starting at vertex ``base``."""
+    """One distinct double point: g annuli starting at vertex ``base``,
+    standing for ``copies`` identical gadgets."""
 
     branch_p: int
     branch_q: int
@@ -35,6 +45,7 @@ class _Gadget:
     q: int
     g: int
     base: int
+    copies: int
 
 
 @dataclass(frozen=True)
@@ -42,23 +53,21 @@ class FibreGraph:
     """The fibre graph of one datum and what it yields, each computed at most once."""
 
     datum: EquisingularDatum
-    network: tuple[NetworkNode, ...]  # the nodes the gadgets expand
+    network: tuple[NetworkNode, ...]  # the nodes the gadgets expand, one gadget each
     sheet_offsets: tuple[int, ...]
     sheet_count: int
     gadgets: tuple[_Gadget, ...]
-    edges: tuple[tuple[int, int], ...]  # loops included, endpoints sorted
-    vertex_count: int
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+    edges: tuple[tuple[int, int], ...]  # built edges, loops included, endpoints sorted
+    size: int  # built vertices: the sheets, then one gadget per node
+    vertex_count: int  # vertices of the full expansion, every copy counted
+    edge_count: int  # edges of the full expansion, every copy counted
 
     def sheet_vertex(self, i: int, a: int) -> int:
         return self.sheet_offsets[i] + a
 
     def component_labels(self) -> list[int]:
-        """Component id per vertex, numbered by first appearance."""
-        parent = list(range(self.vertex_count))
+        """Component id per built vertex, numbered by first appearance."""
+        parent = list(range(self.size))
 
         def find(x):
             root = x
@@ -73,9 +82,9 @@ class FibreGraph:
                 ru, rv = find(u), find(v)
                 if ru != rv:
                     parent[rv] = ru
-        labels = [-1] * self.vertex_count
+        labels = [-1] * self.size
         next_label = 0
-        for v in range(self.vertex_count):
+        for v in range(self.size):
             root = find(v)
             if labels[root] == -1:
                 labels[root] = next_label
@@ -131,7 +140,7 @@ class FibreGraph:
                 "sheet shift is not a graph automorphism (gluing convention broken)"
             )
         perm = [-1] * self.d
-        for v in range(self.vertex_count):
+        for v in range(self.size):
             src, dst = labels[v], labels[sigma[v]]
             if perm[src] == -1:
                 perm[src] = dst
@@ -161,7 +170,7 @@ class ComponentMonodromy:
 
 
 def build_fibre_graph(datum: EquisingularDatum) -> FibreGraph:
-    """Expand every network node into its annulus gadget."""
+    """Build one annulus gadget per network node, weighted by its copies."""
     require_valid(datum)
     offsets = []
     total = 0
@@ -174,21 +183,26 @@ def build_fibre_graph(datum: EquisingularDatum) -> FibreGraph:
     gadgets = []
     edges = []
     vertex = sheet_count
+    vertex_count = sheet_count
+    edge_count = 0
     for node in network:
         bq = node.i if node.j is None else node.j
         g = gcd(node.p, node.q)
-        for _ in range(node.copies):
-            gadgets.append(_Gadget(node.i, bq, node.p, node.q, g, vertex))
-            for c in range(g):
-                av = vertex + c
-                edges.append((av, av))  # core circle of the annulus
-                for a in range(c, node.p, g):
-                    edges.append((offsets[node.i] + a, av))
-                for a in range(c, node.q, g):
-                    edges.append((offsets[bq] + a, av))
-            vertex += g
+        gadgets.append(_Gadget(node.i, bq, node.p, node.q, g, vertex, node.copies))
+        first = len(edges)
+        for c in range(g):
+            av = vertex + c
+            edges.append((av, av))  # core circle of the annulus
+            for a in range(c, node.p, g):
+                edges.append((offsets[node.i] + a, av))
+            for a in range(c, node.q, g):
+                edges.append((offsets[bq] + a, av))
+        vertex += g
+        vertex_count += node.copies * g
+        edge_count += node.copies * (len(edges) - first)
     return FibreGraph(
-        datum, network, tuple(offsets), sheet_count, tuple(gadgets), tuple(edges), vertex
+        datum, network, tuple(offsets), sheet_count, tuple(gadgets), tuple(edges),
+        vertex, vertex_count, edge_count,
     )
 
 
@@ -229,7 +243,7 @@ def fibre_summary(datum: EquisingularDatum) -> FibreSummary:
 
 
 def _shift_permutation(graph: FibreGraph) -> list[int]:
-    sigma = [0] * graph.vertex_count
+    sigma = [0] * graph.size
     for i, b in enumerate(graph.datum.branches):
         off = graph.sheet_offsets[i]
         for a in range(b.multiplicity):

@@ -48,3 +48,35 @@ def permutation_matrix(mono) -> IntMatrix:
     return IntMatrix.from_rows(
         [1 if b == (a + k) % m else 0 for a in range(m)] for b in range(m)
     )
+
+
+def expand_fibre_graph(datum):
+    """The fibre graph with one gadget per double point, every copy built.
+
+    delta_i self points on branch i and I_ij crossings of branches i < j,
+    each a D[m_i, m_j] point of gcd(m_i, m_j) annuli; annulus c is a vertex
+    with a loop, joined to the sheets a = c mod gcd of both branches.
+    Returns (vertex count, edge list, gadgets), a gadget being
+    (branch_p, branch_q, g, base).
+    """
+    m = datum.multiplicities
+    offsets = [sum(m[:i]) for i in range(datum.r)]
+    points = [(i, i) for i, b in enumerate(datum.branches) for _ in range(b.delta)]
+    points += [
+        (i, j)
+        for i in range(datum.r)
+        for j in range(i + 1, datum.r)
+        for _ in range(datum.intersections[i][j])
+    ]
+    vertex = sum(m)
+    edges, gadgets = [], []
+    for i, j in points:
+        g = gcd(m[i], m[j])
+        gadgets.append((i, j, g, vertex))
+        for c in range(g):
+            av = vertex + c
+            edges.append((av, av))
+            edges.extend((offsets[i] + a, av) for a in range(c, m[i], g))
+            edges.extend((offsets[j] + a, av) for a in range(c, m[j], g))
+        vertex += g
+    return vertex, edges, gadgets

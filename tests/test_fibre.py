@@ -1,5 +1,6 @@
 """Fibre graph model: structure, two-route invariants, monodromy."""
 
+import random
 from math import gcd
 
 import pytest
@@ -9,6 +10,8 @@ import milnor_lab.fibre
 import milnor_lab.sweep
 from milnor_lab import (
     CorpusBounds,
+    QuasiHomBranchSpec,
+    boundary2_components,
     build_analysis,
     build_fibre_graph,
     component_monodromy,
@@ -17,12 +20,17 @@ from milnor_lab import (
     euler_characteristic_closed,
     fibre_summary,
     from_monomial,
+    from_quasihomogeneous,
     make_datum,
+    vertical_shift,
 )
+from milnor_lab.fibre import analyse
+
+from oracles import expand_fibre_graph
 
 
-def _brute_components(vertex_count, edges):
-    """Independent union-find, kept separate from the package's."""
+def _brute_roots(vertex_count, edges):
+    """Independent union-find, kept separate from the package's: a root per vertex."""
     parent = list(range(vertex_count))
 
     def find(x):
@@ -35,7 +43,11 @@ def _brute_components(vertex_count, edges):
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[rv] = ru
-    return len({find(v) for v in range(vertex_count)})
+    return [find(v) for v in range(vertex_count)]
+
+
+def _brute_components(vertex_count, edges):
+    return len(set(_brute_roots(vertex_count, edges)))
 
 
 def test_graph_monomial_2_2():
@@ -85,7 +97,12 @@ def test_summary_satellite():
     datum = make_datum([(2, 1), (1, 0)], [[0, 3], [3, 0]])
     graph = build_fibre_graph(datum)
     assert (graph.vertex_count, graph.edge_count) == (8, 18)
-    assert _brute_components(graph.vertex_count, graph.edges) == 1
+    vertex_count, edges, _ = expand_fibre_graph(datum)
+    assert (vertex_count, len(edges)) == (8, 18)
+    assert _brute_components(vertex_count, edges) == 1
+    # the three crossings are built once: 3 sheets + 2 + 1 annuli
+    assert (graph.size, len(graph.edges)) == (6, 10)
+    assert _brute_components(graph.size, graph.edges) == 1
     summary = fibre_summary(datum)
     assert (summary.d, summary.chi, summary.b1) == (1, -10, 11)
 
@@ -163,12 +180,17 @@ def test_check_datum_runs_the_closed_form_once(monkeypatch):
 def test_structural_invariants_over_corpus():
     for datum in enumerate_corpus(CorpusBounds(3, 3, 2, 2)):
         graph = build_fibre_graph(datum)
+        # one gadget per network node, carrying the node's copies
+        assert [(g.branch_p, g.branch_q, g.p, g.q, g.copies) for g in graph.gadgets] == [
+            (n.i, n.i if n.j is None else n.j, n.p, n.q, n.copies) for n in graph.network
+        ]
         sheets = sum(datum.multiplicities)
-        gadget_g = sum(g.g for g in graph.gadgets)
-        assert graph.vertex_count == sheets + gadget_g
-        assert graph.edge_count == sum(g.g + g.p + g.q for g in graph.gadgets)
-        # re-derive the expected edge multiset: a loop per annulus, and annulus c
-        # incident to exactly the sheets with index congruent to c mod gcd
+        assert graph.size == sheets + sum(g.g for g in graph.gadgets)
+        assert graph.vertex_count == sheets + sum(g.copies * g.g for g in graph.gadgets)
+        assert graph.edge_count == sum(g.copies * (g.g + g.p + g.q) for g in graph.gadgets)
+        # re-derive the expected edge multiset for one copy per gadget: a loop
+        # per annulus, and annulus c incident to exactly the sheets with index
+        # congruent to c mod gcd
         expected = []
         for gadget in graph.gadgets:
             for c in range(gadget.g):
@@ -181,7 +203,7 @@ def test_structural_invariants_over_corpus():
         assert sorted(expected) == sorted(tuple(sorted(e)) for e in graph.edges)
         summary = fibre_summary(datum)
         assert summary.chi == summary.chi_closed_form
-        assert summary.d == _brute_components(graph.vertex_count, graph.edges)
+        assert summary.d == _brute_components(graph.size, graph.edges)
         d = 0
         for m in datum.multiplicities:
             d = gcd(d, m)
@@ -194,3 +216,95 @@ def test_structural_invariants_over_corpus():
         rs = fibre_summary(reduced)
         assert rs.d == 1
         assert (summary.d, summary.b1, summary.chi) == (dd * rs.d, dd * rs.b1, dd * rs.chi)
+
+
+def _cycle_type_on_roots(roots, sigma):
+    """Cycle type of the permutation sigma induces on the union-find roots."""
+    image = {}
+    for v, root in enumerate(roots):
+        image[root] = roots[sigma[v]]
+    seen, lengths = set(), []
+    for start in image:
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x = image[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def _assert_matches_full_expansion(datum):
+    """The collapsed graph against the full expansion: d, V - E, the cycle
+    type of the sheet shift on components, and chain_ok per singular branch."""
+    vertex_count, edges, gadgets = expand_fibre_graph(datum)
+    roots = _brute_roots(vertex_count, edges)
+    d = len(set(roots))
+    graph = analyse(datum)
+    assert (graph.vertex_count, graph.edge_count) == (vertex_count, len(edges))
+    assert graph.chi == vertex_count - len(edges)
+    assert graph.d == d == _brute_components(graph.size, graph.edges)
+
+    m = datum.multiplicities
+    sigma = list(range(vertex_count))
+    off = 0
+    for mi in m:
+        for a in range(mi):
+            sigma[off + a] = off + (a + 1) % mi
+        off += mi
+    for _, _, g, base in gadgets:
+        for c in range(g):
+            sigma[base + c] = base + (c + 1) % g
+    assert graph.monodromy.cycle_type == _cycle_type_on_roots(roots, sigma)
+
+    singular = [i for i, mi in enumerate(m) if mi >= 2]
+    if not singular:
+        return
+    chain_ok = []
+    for i in singular:
+        g = gcd(m[i], vertical_shift(datum, i).shift)
+        hit = [set() for _ in range(g)]
+        for a in range(m[i]):
+            hit[a % g].add(roots[sum(m[:i]) + a])
+        chain_ok.append((i, g % d == 0
+                         and all(len(h) == 1 for h in hit)
+                         and set().union(*hit) == set(roots)))
+    got = [(e.branch, e.chain_ok) for e in boundary2_components(datum).branches]
+    assert got == chain_ok
+
+
+def test_collapsed_graph_matches_full_expansion_over_corpus():
+    for datum in enumerate_corpus(CorpusBounds(3, 4, 3, 3)):
+        _assert_matches_full_expansion(datum)
+
+
+def _coprime_pair(rng):
+    while True:
+        a, b = sorted((rng.randint(2, 16), rng.randint(2, 16)))
+        if gcd(a, b) == 1:
+            return a, b
+
+
+def _wide_network(rng):
+    """A germ shaped like a wide network: 3-6 quasihomogeneous branches,
+    coprime (a, b) in 2..16 and multiplicity 1..4."""
+    return from_quasihomogeneous([
+        QuasiHomBranchSpec(*_coprime_pair(rng), rng.randint(1, 4))
+        for _ in range(rng.randint(3, 6))
+    ])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_collapsed_graph_matches_full_expansion_on_wide_networks(seed):
+    rng = random.Random(seed)
+    for _ in range(50):
+        _assert_matches_full_expansion(_wide_network(rng))
+
+
+def test_graph_size_ignores_copies():
+    few = make_datum([(2, 0), (3, 0)], [[0, 1], [1, 0]])
+    many = make_datum([(2, 0), (3, 0)], [[0, 10**9], [10**9, 0]])
+    assert len(analyse(few).edges) == len(analyse(many).edges)
+    assert analyse(few).size == analyse(many).size
+    assert analyse(many).edge_count == 10**9 * len(analyse(few).edges)
