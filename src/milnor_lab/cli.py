@@ -10,20 +10,20 @@ Exit codes: 0 success, 1 input error, 2 property violation found,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from ._version import __version__
 from .datum import (
     CorpusBounds,
-    QuasiHomBranchSpec,
     datum_to_json,
     enumerate_corpus,
-    from_monomial,
-    from_power,
-    from_quasihomogeneous,
+    expand_spec,
     parse_datum,
     serialize_datum,
 )
@@ -39,7 +39,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # one parser per process: it holds no per-call state, and argparse looks
+    # up sys.stdout and sys.stderr only when it prints
     parser = _Parser(prog="milnor-lab", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True,
@@ -81,51 +84,38 @@ def _add_bounds(parser):
     parser.add_argument("--max-int", type=int, required=True)
 
 
-# the family flags each family reads; giving any other one is an input error
-_FAMILY_FLAGS = {
-    "monomial": ("p", "q"),
-    "power": ("base", "exponent"),
-    "quasihomogeneous": ("qh_branch",),
-}
+# the analyze flags that fill a family curve-spec, under their argparse dests
+_SPEC_FLAGS = ("p", "q", "base", "exponent", "qh_branch")
 
 
 def _load_datum(args):
-    wanted = _FAMILY_FLAGS.get(args.family, ())
-    for flags in _FAMILY_FLAGS.values():
-        for flag in flags:
-            if flag not in wanted and getattr(args, flag) is not None:
-                name = "--" + flag.replace("_", "-")
-                raise CurveSpecError(
-                    f"{name} does not apply to --family {args.family}" if args.family
-                    else f"{name} needs --family"
-                )
-    if args.family:
-        if args.spec is not None:
-            raise CurveSpecError("give either a spec or --family, not both")
-        if args.family == "monomial":
-            if args.p is None or args.q is None:
-                raise CurveSpecError("monomial family needs --p and --q")
-            return from_monomial(args.p, args.q)
-        if args.family == "power":
-            if args.base is None or args.exponent is None:
-                raise CurveSpecError("power family needs --base and --exponent")
-            return from_power(_read_spec(args.base), args.exponent)
-        branches = []
-        for item in args.qh_branch or []:
-            parts = item.split(":")
-            if len(parts) != 3:
-                raise CurveSpecError(f"bad --qh-branch {item!r}, expected A:B:M")
-            try:
-                a, b, m = (int(p) for p in parts)
-            except ValueError as exc:
-                raise CurveSpecError(f"bad --qh-branch {item!r}: {exc}") from exc
-            branches.append(QuasiHomBranchSpec(a, b, m))
-        if not branches:
-            raise CurveSpecError("quasihomogeneous family needs --qh-branch")
-        return from_quasihomogeneous(branches)
-    if args.spec is None:
-        raise CurveSpecError("no curve-spec given (pass a path, inline JSON, or --family)")
-    return _read_spec(args.spec)
+    given = {f: getattr(args, f) for f in _SPEC_FLAGS if getattr(args, f) is not None}
+    if args.family is None:
+        if given:
+            raise CurveSpecError(f"--{next(iter(given)).replace('_', '-')} needs --family")
+        if args.spec is None:
+            raise CurveSpecError("no curve-spec given (pass a path, inline JSON, or --family)")
+        return _read_spec(args.spec)
+    if args.spec is not None:
+        raise CurveSpecError("give either a spec or --family, not both")
+    if "base" in given:
+        given["base"] = serialize_datum(_read_spec(given["base"]))
+    if "qh_branch" in given:
+        given["branches"] = [_qh_branch(item) for item in given.pop("qh_branch")]
+    return expand_spec({"family": args.family, **given})
+
+
+def _qh_branch(item: str) -> dict:
+    match = re.fullmatch(r"(-?\d+):(-?\d+):(-?\d+)", item, re.ASCII)
+    if match is None:
+        raise CurveSpecError(f"bad --qh-branch {item!r}, expected A:B:M")
+    try:
+        a, b, m = map(int, match.groups())
+    except ValueError:
+        raise CurveSpecError(
+            f"bad --qh-branch: integer longer than {sys.get_int_max_str_digits()} digits"
+        ) from None
+    return {"a": a, "b": b, "multiplicity": m}
 
 
 def _read_spec(source: str):
@@ -184,12 +174,7 @@ def cmd_verify(args) -> int:
         raise CurveSpecError("--jobs must be >= 1")
     result = run_sweep(bounds, properties, jobs)
     payload = {
-        "bounds": {
-            "max_branches": bounds.max_branches,
-            "max_multiplicity": bounds.max_multiplicity,
-            "max_delta": bounds.max_delta,
-            "max_intersection": bounds.max_intersection,
-        },
+        "bounds": asdict(bounds),
         "properties": list(result.properties),
         "checked": result.checked,
         "violations": [

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -223,15 +224,15 @@ def expand_spec(obj) -> EquisingularDatum:
     if "family" in obj:
         family = obj["family"]
         if family == "monomial":
-            _check_keys(obj, {"family", "p", "q"})
+            _check_keys(obj, {"family", "p", "q"}, "monomial family")
             return from_monomial(_expect_int(obj, "p", "monomial"),
                                  _expect_int(obj, "q", "monomial"))
         if family == "power":
-            _check_keys(obj, {"family", "base", "exponent"})
+            _check_keys(obj, {"family", "base", "exponent"}, "power family")
             base = expand_spec(obj.get("base"))
             return from_power(base, _expect_int(obj, "exponent", "power"))
         if family == "quasihomogeneous":
-            _check_keys(obj, {"family", "branches"})
+            _check_keys(obj, {"family", "branches"}, "quasihomogeneous family")
             raw = obj.get("branches")
             if not isinstance(raw, list) or not raw:
                 raise CurveSpecError("quasihomogeneous: 'branches' must be a non-empty list")
@@ -286,14 +287,33 @@ def _check_keys(obj, allowed, where="curve-spec", required=None):
         raise CurveSpecError(f"{where}: missing keys {sorted(missing)}")
 
 
-def parse_datum(text: str) -> EquisingularDatum:
-    """Parse a curve-spec document; raises CurveSpecError with position on bad JSON."""
+def _unique_keys(pairs):
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise CurveSpecError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _decode(text: str):
     try:
-        return expand_spec(json.loads(text))
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise CurveSpecError(
             f"syntax error at line {exc.lineno} column {exc.colno} (char {exc.pos}): {exc.msg}"
         ) from exc
+    except ValueError as exc:
+        # the one other ValueError: an integer literal past the interpreter's limit
+        raise CurveSpecError(
+            f"integer longer than {sys.get_int_max_str_digits()} digits"
+        ) from exc
+
+
+def parse_datum(text: str) -> EquisingularDatum:
+    """Parse a curve-spec document; raises CurveSpecError with position on bad JSON."""
+    try:
+        return expand_spec(_decode(text))
     except RecursionError as exc:
         raise CurveSpecError("curve-spec is nested too deeply") from exc
 

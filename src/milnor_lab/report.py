@@ -28,24 +28,17 @@ def build_analysis(datum: EquisingularDatum) -> dict:
     d, reduced = divide_by_gcd(datum)
     xr = classify_xr(datum)
 
-    network = []
-    for node in analyse(datum).network:
-        if node.kind == "self":
-            network.append({
-                "kind": "self",
-                "branch": node.i + 1,
-                "p": node.p,
-                "q": node.q,
-                "copies": node.copies,
-            })
-        else:
-            network.append({
-                "kind": "cross",
-                "branches": [node.i + 1, node.j + 1],
-                "p": node.p,
-                "q": node.q,
-                "copies": node.copies,
-            })
+    network = [
+        {
+            "kind": node.kind,
+            **({"branch": node.i + 1} if node.j is None
+               else {"branches": [node.i + 1, node.j + 1]}),
+            "p": node.p,
+            "q": node.q,
+            "copies": node.copies,
+        }
+        for node in analyse(datum).network
+    ]
 
     transversal = {
         "branches": [

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import milnor_lab.cli
 import milnor_lab.intlinalg
 import milnor_lab.report
 import milnor_lab.sweep
@@ -209,6 +210,80 @@ def test_analyze_quasihomogeneous_family(capsys):
     assert report["datum"]["intersections"] == [[0, 2], [2, 0]]
 
 
+CUSP = '{"family":"quasihomogeneous","branches":[{"a":2,"b":3,"multiplicity":1}]}'
+
+
+@pytest.mark.parametrize("flags,spec", [
+    (["--family", "monomial", "--p", "4", "--q", "6"],
+     {"family": "monomial", "p": 4, "q": 6}),
+    (["--family", "power", "--base", "BASE_FILE", "--exponent", "3"],
+     {"family": "power", "base": json.loads(CUSP), "exponent": 3}),
+    (["--family", "power", "--base", CUSP, "--exponent", "2"],
+     {"family": "power", "base": json.loads(CUSP), "exponent": 2}),
+    (["--family", "quasihomogeneous",
+      "--qh-branch", "2:3:1", "--qh-branch", "3:4:2", "--qh-branch", "1:1:1"],
+     {"family": "quasihomogeneous", "branches": [
+         {"a": 2, "b": 3, "multiplicity": 1}, {"a": 3, "b": 4, "multiplicity": 2},
+         {"a": 1, "b": 1, "multiplicity": 1}]}),
+], ids=["monomial", "power-file-base", "power-inline-base", "quasihomogeneous"])
+def test_family_flags_match_inline_family_spec(tmp_path, capsys, flags, spec):
+    base_file = tmp_path / "cusp.json"
+    base_file.write_text(CUSP, encoding="utf-8")
+    flags = [str(base_file) if f == "BASE_FILE" else f for f in flags]
+    by_flags = run_cli(capsys, "analyze", *flags, "--dump-snf")
+    by_spec = run_cli(capsys, "analyze", json.dumps(spec), "--dump-snf")
+    assert by_flags == by_spec
+    assert by_flags[0] == 0 and by_flags[2]
+
+
+def test_family_flag_error_names_family_and_key(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--family", "monomial",
+                             "--p", "3", "--q", "2", "--exponent", "5")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "monomial" in err and "exponent" in err
+
+
+@pytest.mark.parametrize("part", ["1_0", " 3", "\u0663"])
+def test_qh_branch_takes_only_ascii_decimal_parts(capsys, part):
+    code, out, err = run_cli(capsys, "analyze", "--family", "quasihomogeneous",
+                             "--qh-branch", f"2:3:{part}")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "bad --qh-branch" in err
+
+
+LONG_INT = "9" * 5000
+
+
+def _hostile_argv(where, text, tmp_path):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(text, encoding="utf-8")
+    return {
+        "inline": [text],
+        "file": [str(spec_file)],
+        "base": ["--family", "power", "--base", text, "--exponent", "2"],
+    }[where]
+
+
+@pytest.mark.parametrize("where", ["inline", "file", "base"])
+def test_analyze_over_long_integer(tmp_path, capsys, where):
+    text = f'{{"branches":[{{"multiplicity":{LONG_INT},"delta":0}}],"intersections":[[0]]}}'
+    code, out, err = run_cli(capsys, "analyze", *_hostile_argv(where, text, tmp_path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "digits" in err
+
+
+@pytest.mark.parametrize("text,key", [
+    ('{"branches":[{"multiplicity":2,"delta":0}],"intersections":[[0]],'
+     '"intersections":[[0]]}', "intersections"),
+    ('{"branches":[{"multiplicity":2,"delta":0,"delta":1}],"intersections":[[0]]}', "delta"),
+    ('{"family":"power","exponent":2,"base":{"family":"monomial","p":2,"q":3,"p":4}}', "p"),
+], ids=["top-level", "branch", "power-base"])
+def test_analyze_duplicate_key(capsys, text, key):
+    code, out, err = run_cli(capsys, "analyze", text)
+    assert code == 1 and out == ""
+    assert err == f"error: duplicate key {key!r}\n"
+
+
 def test_internal_inconsistency_exit_3(capsys, monkeypatch):
     def boom(_datum):
         raise InternalInconsistencyError("chi mismatch: fabricated for the test")
@@ -308,6 +383,35 @@ def test_jobs_env_not_an_integer(capsys, monkeypatch):
                              "--max-mult", "1", "--max-delta", "0", "--max-int", "1")
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and "MILNOR_LAB_JOBS" in err
+
+
+def test_jobs_env_read_on_every_verify(capsys, monkeypatch):
+    argv = ["verify", "--max-branches", "1", "--max-mult", "1", "--max-delta", "0",
+            "--max-int", "1"]
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setenv("MILNOR_LAB_JOBS", "abc")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "MILNOR_LAB_JOBS" in err
+
+
+def test_parser_built_once(capsys, monkeypatch, request):
+    built = []
+
+    class CountingParser(milnor_lab.cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    milnor_lab.cli.build_parser.cache_clear()
+    request.addfinalizer(milnor_lab.cli.build_parser.cache_clear)
+    monkeypatch.setattr(milnor_lab.cli, "_Parser", CountingParser)
+    for _ in range(3):
+        assert run_cli(capsys, "analyze", X3)[0] == 0
+    assert run_cli(capsys, "enumerate", "--max-branches", "1", "--max-mult", "1",
+                   "--max-delta", "0", "--max-int", "1")[0] == 0
+    assert run_cli(capsys, "verify", "--max-branches", "1")[0] == 1
+    assert built.count("milnor-lab") == 1
 
 
 def test_bad_flags_exit_1(capsys):
