@@ -388,6 +388,7 @@ def test_jobs_env_not_an_integer(capsys, monkeypatch):
 def test_jobs_env_read_on_every_verify(capsys, monkeypatch):
     argv = ["verify", "--max-branches", "1", "--max-mult", "1", "--max-delta", "0",
             "--max-int", "1"]
+    monkeypatch.delenv("MILNOR_LAB_JOBS", raising=False)
     assert run_cli(capsys, *argv)[0] == 0
     monkeypatch.setenv("MILNOR_LAB_JOBS", "abc")
     code, out, err = run_cli(capsys, *argv)
