@@ -35,7 +35,6 @@ from .sweep import run_sweep
 class _Parser(argparse.ArgumentParser):
     # bad flags are an input error (exit 1), never the violation code 2
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
@@ -52,11 +51,11 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("spec", nargs="?",
                          help="curve-spec path, inline JSON, or '-' for stdin")
     analyze.add_argument("--family", choices=["monomial", "power", "quasihomogeneous"])
-    analyze.add_argument("--p", type=int, help="monomial exponent p")
-    analyze.add_argument("--q", type=int, help="monomial exponent q")
+    analyze.add_argument("--p", type=_integer, help="monomial exponent p")
+    analyze.add_argument("--q", type=_integer, help="monomial exponent q")
     analyze.add_argument("--base", help="power family: base curve-spec (path or inline)")
-    analyze.add_argument("--exponent", type=int, help="power family: exponent")
-    analyze.add_argument("--qh-branch", action="append", metavar="A:B:M",
+    analyze.add_argument("--exponent", type=_integer, help="power family: exponent")
+    analyze.add_argument("--qh-branch", type=_qh_branch, action="append", metavar="A:B:M",
                          help="quasihomogeneous branch, repeatable")
     analyze.add_argument("--out", help="write the report here instead of stdout")
     analyze.add_argument("--dump-snf", action="store_true",
@@ -67,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bounds(verify)
     verify.add_argument("--properties",
                         help="comma-separated property names (default: full suite)")
-    verify.add_argument("--jobs", type=int, default=None,
+    verify.add_argument("--jobs", type=_integer, default=None,
                         help="worker processes (default: MILNOR_LAB_JOBS or 1)")
     verify.set_defaults(func=cmd_verify)
 
@@ -78,10 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_bounds(parser):
-    parser.add_argument("--max-branches", type=int, required=True)
-    parser.add_argument("--max-mult", type=int, required=True)
-    parser.add_argument("--max-delta", type=int, required=True)
-    parser.add_argument("--max-int", type=int, required=True)
+    parser.add_argument("--max-branches", type=_integer, required=True)
+    parser.add_argument("--max-mult", type=_integer, required=True)
+    parser.add_argument("--max-delta", type=_integer, required=True)
+    parser.add_argument("--max-int", type=_integer, required=True)
 
 
 # the analyze flags that fill a family curve-spec, under their argparse dests
@@ -101,20 +100,31 @@ def _load_datum(args):
     if "base" in given:
         given["base"] = serialize_datum(_read_spec(given["base"]))
     if "qh_branch" in given:
-        given["branches"] = [_qh_branch(item) for item in given.pop("qh_branch")]
+        given["branches"] = given.pop("qh_branch")
     return expand_spec({"family": args.family, **given})
 
 
-def _qh_branch(item: str) -> dict:
-    match = re.fullmatch(r"(-?\d+):(-?\d+):(-?\d+)", item, re.ASCII)
-    if match is None:
-        raise CurveSpecError(f"bad --qh-branch {item!r}, expected A:B:M")
+def _integer(text: str) -> int:
+    """ASCII digits with an optional minus sign: the `_`, spaces and non-ASCII
+    digits that int() accepts are refused, as the JSON route refuses them."""
+    if re.fullmatch(r"-?\d+", text, re.ASCII) is None:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     try:
-        a, b, m = map(int, match.groups())
+        return int(text)
     except ValueError:
-        raise CurveSpecError(
-            f"bad --qh-branch: integer longer than {sys.get_int_max_str_digits()} digits"
+        raise argparse.ArgumentTypeError(
+            f"integer longer than {sys.get_int_max_str_digits()} digits"
         ) from None
+
+
+def _qh_branch(item: str) -> dict:
+    parts = item.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"bad --qh-branch {item!r}, expected A:B:M")
+    try:
+        a, b, m = map(_integer, parts)
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"bad --qh-branch: {exc}") from None
     return {"a": a, "b": b, "multiplicity": m}
 
 
@@ -167,8 +177,8 @@ def cmd_verify(args) -> int:
     if jobs is None:
         raw = os.environ.get("MILNOR_LAB_JOBS", "1")
         try:
-            jobs = int(raw)
-        except ValueError:
+            jobs = _integer(raw)
+        except argparse.ArgumentTypeError:
             raise CurveSpecError(f"MILNOR_LAB_JOBS must be an integer, got {raw!r}") from None
     if jobs < 1:
         raise CurveSpecError("--jobs must be >= 1")

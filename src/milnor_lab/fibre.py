@@ -36,16 +36,11 @@ from .network import NetworkNode, build_network
 
 @dataclass(frozen=True)
 class _Gadget:
-    """One distinct double point: g annuli starting at vertex ``base``,
-    standing for ``copies`` identical gadgets."""
+    """The g = gcd(p, q) annuli of one network node, built at vertices
+    ``base`` to ``base + g - 1``."""
 
-    branch_p: int
-    branch_q: int
-    p: int
-    q: int
     g: int
     base: int
-    copies: int
 
 
 @dataclass(frozen=True)
@@ -53,17 +48,13 @@ class FibreGraph:
     """The fibre graph of one datum and what it yields, each computed at most once."""
 
     datum: EquisingularDatum
-    network: tuple[NetworkNode, ...]  # the nodes the gadgets expand, one gadget each
+    network: tuple[NetworkNode, ...]
     sheet_offsets: tuple[int, ...]
-    sheet_count: int
-    gadgets: tuple[_Gadget, ...]
+    gadgets: tuple[_Gadget, ...]  # gadgets[n] expands network[n]
     edges: tuple[tuple[int, int], ...]  # built edges, loops included, endpoints sorted
     size: int  # built vertices: the sheets, then one gadget per node
     vertex_count: int  # vertices of the full expansion, every copy counted
     edge_count: int  # edges of the full expansion, every copy counted
-
-    def sheet_vertex(self, i: int, a: int) -> int:
-        return self.sheet_offsets[i] + a
 
     def component_labels(self) -> list[int]:
         """Component id per built vertex, numbered by first appearance."""
@@ -173,22 +164,20 @@ def build_fibre_graph(datum: EquisingularDatum) -> FibreGraph:
     """Build one annulus gadget per network node, weighted by its copies."""
     require_valid(datum)
     offsets = []
-    total = 0
+    vertex = 0
     for b in datum.branches:
-        offsets.append(total)
-        total += b.multiplicity
-    sheet_count = total
+        offsets.append(vertex)
+        vertex += b.multiplicity
 
     network = tuple(build_network(datum))
     gadgets = []
     edges = []
-    vertex = sheet_count
-    vertex_count = sheet_count
+    vertex_count = vertex
     edge_count = 0
     for node in network:
         bq = node.i if node.j is None else node.j
         g = gcd(node.p, node.q)
-        gadgets.append(_Gadget(node.i, bq, node.p, node.q, g, vertex, node.copies))
+        gadgets.append(_Gadget(g, vertex))
         first = len(edges)
         for c in range(g):
             av = vertex + c
@@ -201,7 +190,7 @@ def build_fibre_graph(datum: EquisingularDatum) -> FibreGraph:
         vertex_count += node.copies * g
         edge_count += node.copies * (len(edges) - first)
     return FibreGraph(
-        datum, network, tuple(offsets), sheet_count, tuple(gadgets), tuple(edges),
+        datum, network, tuple(offsets), tuple(gadgets), tuple(edges),
         vertex, vertex_count, edge_count,
     )
 

@@ -196,13 +196,12 @@ def boundary2_components(datum: EquisingularDatum) -> Boundary2Report:
                 f"branch {i + 1}: cokernel route gives Z^{pres.free_rank} "
                 f"plus torsion {list(pres.torsion)}, orbit route gives Z^{g}"
             )
-        hit = [set() for _ in range(g)]
-        for a in range(m):
-            hit[a % g].add(labels[graph.sheet_vertex(i, a)])
+        off = graph.sheet_offsets[i]
+        comps = labels[off:off + m]
         chain_ok = (
             g % n_components == 0
-            and all(len(comps) == 1 for comps in hit)
-            and set().union(*hit) == set(range(n_components))
+            and all(comps[a] == comps[a % g] for a in range(g, m))
+            and set(comps[:g]) == set(range(n_components))
         )
         entries.append(Boundary2Branch(i, mono.shift, g, pres, chain_ok))
     return Boundary2Report(tuple(entries))

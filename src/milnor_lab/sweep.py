@@ -12,7 +12,7 @@ import multiprocessing
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from math import gcd
 from time import perf_counter
 
@@ -48,25 +48,25 @@ class SweepResult:
 
 
 # --- property checks -------------------------------------------------------
-# each takes the datum's FibreGraph and a zero-argument beta report getter,
-# and returns a list of (expected, got, documented) triples
+# each takes the datum's FibreGraph and its beta report (None when the datum
+# has no singular set), and returns a list of (expected, got, documented) triples
 
-def _prop_lemma_d_gcd(graph, beta_report):
+def _prop_lemma_d_gcd(graph, rep):
     expected = gcd(*graph.datum.multiplicities)
     if graph.d != expected:
         return [(f"b0 = gcd(m_i) = {expected}", f"b0 = {graph.d}", False)]
     return []
 
 
-def _prop_two_route_chi(graph, beta_report):
+def _prop_two_route_chi(graph, rep):
     closed = euler_characteristic_closed(graph.datum)
     if graph.chi != closed:
         return [(f"V - E = closed form = {closed}", f"V - E = {graph.chi}", False)]
     return []
 
 
-def _prop_mu_reduced(graph, beta_report):
-    if any(b.multiplicity != 1 for b in graph.datum.branches):
+def _prop_mu_reduced(graph, rep):
+    if rep is not None:  # some m_i >= 2: not a reduced curve
         return []
     expected = mu_reduced(graph.datum)
     if graph.b1 != expected:
@@ -74,7 +74,7 @@ def _prop_mu_reduced(graph, beta_report):
     return []
 
 
-def _prop_divide_by_gcd(graph, beta_report):
+def _prop_divide_by_gcd(graph, rep):
     d, reduced = divide_by_gcd(graph.datum)
     rgraph = analyse(reduced)
     out = []
@@ -87,14 +87,14 @@ def _prop_divide_by_gcd(graph, beta_report):
     return out
 
 
-def _prop_monodromy_cycle(graph, beta_report):
+def _prop_monodromy_cycle(graph, rep):
     mono = component_monodromy(graph.datum)
     if mono.cycle_type != (graph.d,):
         return [(f"cycle type [{graph.d}]", f"{list(mono.cycle_type)}", False)]
     return []
 
 
-def _prop_b1_zero_iff_xr(graph, beta_report):
+def _prop_b1_zero_iff_xr(graph, rep):
     datum = graph.datum
     if is_power_of_smooth(datum) != (graph.b1 == 0):
         return [(
@@ -105,19 +105,13 @@ def _prop_b1_zero_iff_xr(graph, beta_report):
     return []
 
 
-def _prop_beta_nonneg(graph, beta_report):
-    if not singular_branches(graph.datum):
-        return []
-    value = beta_report().beta
-    if value < 0:
-        return [("beta >= 0", f"beta = {value}", False)]
+def _prop_beta_nonneg(graph, rep):
+    if rep.beta < 0:
+        return [("beta >= 0", f"beta = {rep.beta}", False)]
     return []
 
 
-def _prop_corollary_beta0(graph, beta_report):
-    if not singular_branches(graph.datum):
-        return []
-    rep = beta_report()
+def _prop_corollary_beta0(graph, rep):
     if rep.c1_beta_zero != rep.verdict_bobadilla:
         return [(
             "beta = 0 exactly for a power of a smooth branch",
@@ -127,10 +121,7 @@ def _prop_corollary_beta0(graph, beta_report):
     return []
 
 
-def _prop_c1_iff_c3(graph, beta_report):
-    if not singular_branches(graph.datum):
-        return []
-    rep = beta_report()
+def _prop_c1_iff_c3(graph, rep):
     if rep.c1_beta_zero != rep.c3_homology_form:
         return [(
             "C1 (beta = 0) equivalent to C3 (b1 = 0 and b0 - 1 = sum mu_perp)",
@@ -140,9 +131,7 @@ def _prop_c1_iff_c3(graph, beta_report):
     return []
 
 
-def _prop_coker_rank(graph, beta_report):
-    if not singular_branches(graph.datum):
-        return []
+def _prop_coker_rank(graph, rep):
     out = []
     d = graph.d
     report = boundary2_components(graph.datum)
@@ -180,9 +169,7 @@ def _prop_coker_rank(graph, beta_report):
     return out
 
 
-def _prop_upper_bound(graph, beta_report):
-    if not singular_branches(graph.datum):
-        return []
+def _prop_upper_bound(graph, rep):
     verdict = check_upper_bound(graph.datum)
     if verdict.hypothesis and not verdict.conclusion_holds:
         return [(
@@ -194,10 +181,7 @@ def _prop_upper_bound(graph, beta_report):
     return []
 
 
-def _prop_chi_form(graph, beta_report):
-    if not singular_branches(graph.datum):
-        return []
-    rep = beta_report()
+def _prop_chi_form(graph, rep):
     if rep.c1_beta_zero and not rep.c2_chi_form:
         return [(
             "beta = 0 implies chi(F) = 1 - sum mu_perp",
@@ -207,24 +191,25 @@ def _prop_chi_form(graph, beta_report):
     return []
 
 
+# name, check, in the default suite, needs a singular set (some m_i >= 2)
 _REGISTRY = (
-    ("lemma-d-gcd", _prop_lemma_d_gcd, True),
-    ("two-route-chi", _prop_two_route_chi, True),
-    ("mu-reduced", _prop_mu_reduced, True),
-    ("divide-by-gcd", _prop_divide_by_gcd, True),
-    ("monodromy-cycle", _prop_monodromy_cycle, True),
-    ("prop1-b1-xr", _prop_b1_zero_iff_xr, True),
-    ("beta-nonneg", _prop_beta_nonneg, True),
-    ("corollary-beta0", _prop_corollary_beta0, True),
-    ("c1-iff-c3", _prop_c1_iff_c3, True),
-    ("coker-rank", _prop_coker_rank, True),
-    ("upper-bound", _prop_upper_bound, True),
-    ("prop2-chi-form", _prop_chi_form, False),
+    ("lemma-d-gcd", _prop_lemma_d_gcd, True, False),
+    ("two-route-chi", _prop_two_route_chi, True, False),
+    ("mu-reduced", _prop_mu_reduced, True, False),
+    ("divide-by-gcd", _prop_divide_by_gcd, True, False),
+    ("monodromy-cycle", _prop_monodromy_cycle, True, False),
+    ("prop1-b1-xr", _prop_b1_zero_iff_xr, True, False),
+    ("beta-nonneg", _prop_beta_nonneg, True, True),
+    ("corollary-beta0", _prop_corollary_beta0, True, True),
+    ("c1-iff-c3", _prop_c1_iff_c3, True, True),
+    ("coker-rank", _prop_coker_rank, True, True),
+    ("upper-bound", _prop_upper_bound, True, True),
+    ("prop2-chi-form", _prop_chi_form, False, True),
 )
 
-DEFAULT_PROPERTIES = tuple(name for name, _, default in _REGISTRY if default)
-ALL_PROPERTIES = tuple(name for name, _, _ in _REGISTRY)
-_TABLE = {name: fn for name, fn, _ in _REGISTRY}
+DEFAULT_PROPERTIES = tuple(name for name, _, default, _ in _REGISTRY if default)
+ALL_PROPERTIES = tuple(name for name, _, _, _ in _REGISTRY)
+_TABLE = {name: (fn, singular) for name, fn, _, singular in _REGISTRY}
 
 
 def resolve_properties(names=None) -> tuple[str, ...]:
@@ -251,10 +236,13 @@ _CHUNKSIZE = 64
 
 def check_datum(datum: EquisingularDatum, names) -> list[Violation]:
     graph = analyse(datum)
-    beta_report = cache(partial(beta, datum))
+    rep = beta(datum) if singular_branches(datum) else None
     violations = []
     for name in names:
-        for expected, got, documented in _TABLE[name](graph, beta_report):
+        fn, singular = _TABLE[name]
+        if singular and rep is None:
+            continue
+        for expected, got, documented in fn(graph, rep):
             violations.append(Violation(datum, name, expected, got, documented))
     return violations
 

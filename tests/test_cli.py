@@ -421,6 +421,49 @@ def test_bad_flags_exit_1(capsys):
     assert code == 1
 
 
+VERIFY_TINY = ["verify", "--max-branches", "1", "--max-mult", "1", "--max-delta", "0",
+               "--max-int", "1"]
+
+
+@pytest.mark.parametrize("value", ["1_0", " 2", "\u0663"])
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--family", "monomial", "--p", "{}", "--q", "2"],
+    ["analyze", "--family", "monomial", "--p", "2", "--q", "{}"],
+    ["analyze", "--family", "power", "--base", X3, "--exponent", "{}"],
+    [*VERIFY_TINY, "--jobs", "{}"],
+    [*VERIFY_TINY, "--max-branches", "{}"],
+    [*VERIFY_TINY, "--max-mult", "{}"],
+    [*VERIFY_TINY, "--max-delta", "{}"],
+    [*VERIFY_TINY, "--max-int", "{}"],
+], ids=["p", "q", "exponent", "jobs", "max-branches", "max-mult", "max-delta", "max-int"])
+def test_integer_flags_take_only_ascii_decimal(capsys, argv, value):
+    flag = argv[argv.index("{}") - 1]
+    code, out, err = run_cli(capsys, *(value if a == "{}" else a for a in argv))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and f"argument {flag}: expected an integer" in err
+
+
+@pytest.mark.parametrize("raw", ["1_0", "\u0662"])
+def test_jobs_env_takes_only_ascii_decimal(capsys, monkeypatch, raw):
+    monkeypatch.setenv("MILNOR_LAB_JOBS", raw)
+    code, out, err = run_cli(capsys, *VERIFY_TINY)
+    assert code == 1 and out == ""
+    assert err == f"error: MILNOR_LAB_JOBS must be an integer, got {raw!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--family", "monomial", "--p", "abc", "--q", "2"],
+    ["analyze", "--family", "monomial", "--p", "9" * 5000, "--q", "2"],
+    ["verify", "--max-branches", "1"],
+    ["analyze", "--family", "cubic"],
+    [],
+], ids=["not-an-integer", "over-long", "missing-flags", "bad-choice", "no-command"])
+def test_argument_errors_are_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "error:" in err
+
+
 def two_usable_cpus(monkeypatch):
     # two CPUs in this process's affinity set on a host that has eight
     monkeypatch.setattr(os, "cpu_count", lambda: 8)

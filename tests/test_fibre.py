@@ -52,7 +52,8 @@ def _brute_components(vertex_count, edges):
 
 def test_graph_monomial_2_2():
     graph = build_fibre_graph(from_monomial(2, 2))
-    assert graph.sheet_count == 4
+    assert graph.sheet_offsets == (0, 2)  # 4 sheets
+    assert graph.gadgets[0].base == 4
     assert graph.vertex_count == 6  # 4 sheets + 2 annuli
     loops = [e for e in graph.edges if e[0] == e[1]]
     incidences = [e for e in graph.edges if e[0] != e[1]]
@@ -177,29 +178,57 @@ def test_check_datum_runs_the_closed_form_once(monkeypatch):
     assert len(closed_forms) == 1
 
 
+def test_check_datum_property_alone_matches_full_suite():
+    sweep = milnor_lab.sweep
+    found = set()
+    for datum in enumerate_corpus(CorpusBounds(3, 3, 2, 2)):
+        full = sweep.check_datum(datum, sweep.ALL_PROPERTIES)
+        found.update(v.prop for v in full)
+        for name in sweep.ALL_PROPERTIES:
+            assert sweep.check_datum(datum, (name,)) == [v for v in full if v.prop == name]
+    assert found == {"prop2-chi-form"}  # the documented discrepancy, so not vacuous
+
+
+def test_check_datum_reads_beta_once_per_singular_datum(monkeypatch):
+    calls = _count_calls(monkeypatch, milnor_lab.sweep, "beta")
+    reduced = make_datum([(1, 2, "beta-a"), (1, 0, "beta-b")], [[0, 3], [3, 0]])
+    assert milnor_lab.sweep.check_datum(reduced, milnor_lab.sweep.DEFAULT_PROPERTIES) == []
+    assert calls == []
+    singular = make_datum([(4, 1, "beta-c"), (6, 2, "beta-d")], [[0, 5], [5, 0]])
+    assert milnor_lab.sweep.check_datum(singular, milnor_lab.sweep.DEFAULT_PROPERTIES) == []
+    assert calls == [singular]
+
+
 def test_structural_invariants_over_corpus():
     for datum in enumerate_corpus(CorpusBounds(3, 3, 2, 2)):
         graph = build_fibre_graph(datum)
-        # one gadget per network node, carrying the node's copies
-        assert [(g.branch_p, g.branch_q, g.p, g.q, g.copies) for g in graph.gadgets] == [
-            (n.i, n.i if n.j is None else n.j, n.p, n.q, n.copies) for n in graph.network
-        ]
+        # one gadget per network node, g = gcd(p, q) annuli, the gadgets'
+        # vertices following the sheets contiguously
+        assert len(graph.gadgets) == len(graph.network)
         sheets = sum(datum.multiplicities)
-        assert graph.size == sheets + sum(g.g for g in graph.gadgets)
-        assert graph.vertex_count == sheets + sum(g.copies * g.g for g in graph.gadgets)
-        assert graph.edge_count == sum(g.copies * (g.g + g.p + g.q) for g in graph.gadgets)
+        pairs = list(zip(graph.network, graph.gadgets))
+        base = sheets
+        for node, gadget in pairs:
+            assert gadget.g == gcd(node.p, node.q)
+            assert gadget.base == base
+            base += gadget.g
+        assert graph.size == sheets + sum(g.g for _, g in pairs)
+        assert graph.vertex_count == sheets + sum(n.copies * g.g for n, g in pairs)
+        assert graph.edge_count == sum(n.copies * (g.g + n.p + n.q) for n, g in pairs)
         # re-derive the expected edge multiset for one copy per gadget: a loop
         # per annulus, and annulus c incident to exactly the sheets with index
         # congruent to c mod gcd
         expected = []
-        for gadget in graph.gadgets:
+        for node, gadget in pairs:
+            off_p = graph.sheet_offsets[node.i]
+            off_q = graph.sheet_offsets[node.i if node.j is None else node.j]
             for c in range(gadget.g):
                 av = gadget.base + c
                 expected.append((av, av))
-                for a in range(c, gadget.p, gadget.g):
-                    expected.append(tuple(sorted((graph.sheet_vertex(gadget.branch_p, a), av))))
-                for a in range(c, gadget.q, gadget.g):
-                    expected.append(tuple(sorted((graph.sheet_vertex(gadget.branch_q, a), av))))
+                for a in range(c, node.p, gadget.g):
+                    expected.append(tuple(sorted((off_p + a, av))))
+                for a in range(c, node.q, gadget.g):
+                    expected.append(tuple(sorted((off_q + a, av))))
         assert sorted(expected) == sorted(tuple(sorted(e)) for e in graph.edges)
         summary = fibre_summary(datum)
         assert summary.chi == summary.chi_closed_form
