@@ -42,7 +42,6 @@ from .intlinalg import (
     IntMatrix,
     SmithDecomposition,
     cokernel,
-    determinant,
     smith_normal_form,
 )
 from .invariants import (
@@ -96,7 +95,6 @@ __all__ = [
     "IntMatrix",
     "SmithDecomposition",
     "cokernel",
-    "determinant",
     "smith_normal_form",
     "BetaReport",
     "Boundary2Report",

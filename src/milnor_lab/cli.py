@@ -180,7 +180,9 @@ def cmd_verify(args) -> int:
             jobs = _integer(raw)
         except argparse.ArgumentTypeError:
             raise CurveSpecError(f"MILNOR_LAB_JOBS must be an integer, got {raw!r}") from None
-    if jobs < 1:
+        if jobs < 1:
+            raise CurveSpecError(f"MILNOR_LAB_JOBS must be >= 1, got {raw!r}")
+    elif jobs < 1:
         raise CurveSpecError("--jobs must be >= 1")
     result = run_sweep(bounds, properties, jobs)
     payload = {

@@ -3,9 +3,12 @@
 Everything here runs on Python's arbitrary-precision integers; there is
 no floating point in this module.  The Smith reduction uses a fixed
 pivot rule (smallest nonzero absolute value, row-major tie-break) so
-that U, S, V are reproducible across runs.  The cokernel eliminates unit
-pivots on sparse columns first and runs the Smith reduction only on the
-block that is left.
+that U, S, V are reproducible across runs.  It has one elimination
+routine, ``_clear``: row operations reduce the entries below a pivot and
+are undone on the columns of a companion matrix.  The row pass runs it
+on S with U, the column pass on S^T with V^T.  The cokernel eliminates
+unit pivots on sparse columns first and runs the Smith reduction only on
+the block that is left.
 """
 
 from __future__ import annotations
@@ -27,18 +30,6 @@ class IntMatrix:
         if any(len(row) != ncols for row in entries):
             raise ValueError("ragged rows")
         return IntMatrix(nrows, ncols, entries)
-
-    def matmul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            row = self.entries[i]
-            out.append(tuple(
-                sum(row[k] * other.entries[k][j] for k in range(self.cols))
-                for j in range(other.cols)
-            ))
-        return IntMatrix(self.rows, other.cols, tuple(out))
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
@@ -77,139 +68,78 @@ class CokernelPresentation:
     torsion: tuple[int, ...]  # invariant factors > 1, in divisibility order
 
 
-def determinant(matrix: IntMatrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    if matrix.rows != matrix.cols:
-        raise ValueError("determinant of non-square matrix")
-    n = matrix.rows
-    if n == 0:
-        return 1
-    work = [list(row) for row in matrix.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if work[k][k] == 0:
-            for i in range(k + 1, n):
-                if work[i][k] != 0:
-                    work[k], work[i] = work[i], work[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // prev
-            work[i][k] = 0
-        prev = work[k][k]
-    return sign * work[n - 1][n - 1]
+def _identity(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
+
+
+def _transpose(m: list[list[int]]) -> list[list[int]]:
+    return [list(col) for col in zip(*m)]
+
+
+def _swap(m, w, a, b, sign=1):
+    """Rows a, b of m become sign * row b, row a; the same on the columns of w."""
+    m[b], m[a] = m[a], [sign * x for x in m[b]]
+    for row in w:
+        row[b], row[a] = row[a], sign * row[b]
+
+
+def _subtract(m, w, i, p, q):
+    """Row i of m loses q * row p; column p of w gains q * column i."""
+    m[i] = [x - q * y for x, y in zip(m[i], m[p])]
+    for row in w:
+        row[p] += q * row[i]
+
+
+def _clear(m, n, w, t):
+    """Reduce m[i][t], t < i < n, modulo the pivot m[t][t] > 0 by row operations
+    on m, each undone on the columns of w; true if a nonzero remainder is left."""
+    left = False
+    for i in range(t + 1, n):
+        q = m[i][t] // m[t][t]
+        if q:
+            _subtract(m, w, i, t, q)
+        left = left or m[i][t] != 0
+    return left
 
 
 def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     """Diagonalize by unimodular row/column operations, A = U * S * V.
 
-    Pivot rule: among the nonzero entries of the remaining submatrix pick
-    the one of smallest absolute value, ties broken row-major.  Row
-    operations on S are mirrored by inverse column operations on U,
-    column operations by inverse row operations on V, so the product
-    U * S * V stays equal to A throughout.
+    Pivot rule: the smallest nonzero |entry| of the remaining submatrix,
+    ties broken row-major, moved to (t, t) and made positive.  A column
+    operation on S is a row operation on S^T, undone on the columns of V^T
+    (the rows of V), so both passes are ``_clear`` and U * S * V = A holds.
     """
     rows, cols = matrix.rows, matrix.cols
-    s = [list(row) for row in matrix.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def row_swap(a, b):
-        s[a], s[b] = s[b], s[a]
-        for row in u:
-            row[a], row[b] = row[b], row[a]
-
-    def row_negate(a):
-        s[a] = [-x for x in s[a]]
-        for row in u:
-            row[a] = -row[a]
-
-    def row_sub(target, source, q):
-        # S: row target -= q * row source;  U: col source += q * col target
-        st, ss = s[target], s[source]
-        for j in range(cols):
-            st[j] -= q * ss[j]
-        for row in u:
-            row[source] += q * row[target]
-
-    def col_swap(a, b):
-        for row in s:
-            row[a], row[b] = row[b], row[a]
-        v[a], v[b] = v[b], v[a]
-
-    def col_sub(target, source, q):
-        # S: col target -= q * col source;  V: row source += q * row target
-        for row in s:
-            row[target] -= q * row[source]
-        vt, vs = v[target], v[source]
-        for j in range(cols):
-            vs[j] += q * vt[j]
-
-    def select_pivot(t):
-        best = None
-        for i in range(t, rows):
-            row = s[i]
-            for j in range(t, cols):
-                val = row[j]
-                if val != 0 and (best is None or abs(val) < best[0]):
-                    best = (abs(val), i, j)
-        return best
-
+    s, u, v = [list(row) for row in matrix.entries], _identity(rows), _identity(cols)
     for t in range(min(rows, cols)):
         while True:
-            best = select_pivot(t)
+            best = min(((abs(x), i, j) for i in range(t, rows)
+                        for j, x in enumerate(s[i][t:], t) if x), default=None)
             if best is None:
                 break
-            _, pi, pj = best
-            if pi != t:
-                row_swap(t, pi)
-            if pj != t:
-                col_swap(t, pj)
-            if s[t][t] < 0:
-                row_negate(t)
-            pivot = s[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                if s[i][t] != 0:
-                    q = s[i][t] // pivot
-                    if q:
-                        row_sub(i, t, q)
-                    if s[i][t] != 0:
-                        dirty = True
-            if dirty:
+            _, i, j = best
+            _swap(v, s, t, j)  # a column swap of S is a row swap of V
+            _swap(s, u, t, i, 1 if s[i][t] > 0 else -1)
+            if _clear(s, rows, u, t):
                 continue
-            for j in range(t + 1, cols):
-                if s[t][j] != 0:
-                    q = s[t][j] // pivot
-                    if q:
-                        col_sub(j, t, q)
-                    if s[t][j] != 0:
-                        dirty = True
-            if dirty:
+            st, vt = _transpose(s), _transpose(v)
+            left = _clear(st, cols, vt, t)
+            s, v = _transpose(st), _transpose(vt)
+            if left:
                 continue
-            offender = None
-            for i in range(t + 1, rows):
-                row = s[i]
-                for j in range(t + 1, cols):
-                    if row[j] % pivot != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in range(t + 1, rows)
+                             if any(x % s[t][t] for x in s[i][t + 1:])), None)
             if offender is None:
                 break
-            row_sub(t, offender, -1)  # pull the non-divisible row up, then redo
-        if select_pivot(t) is None:
-            break
-
+            _subtract(s, u, t, offender, -1)  # pull the non-divisible row up, then redo
     return SmithDecomposition(
-        IntMatrix(rows, rows, tuple(tuple(row) for row in u)),
-        IntMatrix(rows, cols, tuple(tuple(row) for row in s)),
-        IntMatrix(cols, cols, tuple(tuple(row) for row in v)),
+        IntMatrix(rows, rows, tuple(map(tuple, u))),
+        IntMatrix(rows, cols, tuple(map(tuple, s))),
+        IntMatrix(cols, cols, tuple(map(tuple, v))),
     )
 
 

@@ -71,6 +71,7 @@ class Boundary2Report:
 
 @dataclass(frozen=True)
 class UpperBoundVerdict:
+    # The report's "upper_bound" section is asdict() of this: field order is key order.
     hypothesis: bool
     cokernels_free: bool | None
     shifts_identity: bool | None

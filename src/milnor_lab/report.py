@@ -7,6 +7,7 @@ Branch indices in the report are 1-based.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 from ._version import __version__
 from .datum import EquisingularDatum, serialize_datum
@@ -75,13 +76,7 @@ def build_analysis(datum: EquisingularDatum) -> dict:
             }
             for e in b2.branches
         ]
-        ub = check_upper_bound(datum)
-        upper_bound = {
-            "hypothesis": ub.hypothesis,
-            "cokernels_free": ub.cokernels_free,
-            "shifts_identity": ub.shifts_identity,
-            "conclusion_holds": ub.conclusion_holds,
-        }
+        upper_bound = asdict(check_upper_bound(datum))
     else:
         beta_section = None
         vertical = []

@@ -42,6 +42,47 @@ def zeros(rows: int, cols: int) -> IntMatrix:
     return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
 
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The product a * b, entry by entry."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    out = []
+    for i in range(a.rows):
+        row = a.entries[i]
+        out.append(tuple(
+            sum(row[k] * b.entries[k][j] for k in range(a.cols))
+            for j in range(b.cols)
+        ))
+    return IntMatrix(a.rows, b.cols, tuple(out))
+
+
+def determinant(matrix: IntMatrix) -> int:
+    """Exact determinant by Bareiss fraction-free elimination."""
+    if matrix.rows != matrix.cols:
+        raise ValueError("determinant of non-square matrix")
+    n = matrix.rows
+    if n == 0:
+        return 1
+    work = [list(row) for row in matrix.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if work[k][k] == 0:
+            for i in range(k + 1, n):
+                if work[i][k] != 0:
+                    work[k], work[i] = work[i], work[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // prev
+            work[i][k] = 0
+        prev = work[k][k]
+    return sign * work[n - 1][n - 1]
+
+
 def permutation_matrix(mono) -> IntMatrix:
     """The m x m matrix of a vertical monodromy: sheet a goes to (a + k) mod m."""
     m, k = mono.m, mono.shift

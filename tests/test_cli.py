@@ -370,11 +370,19 @@ def test_verify_trivial_bounds(capsys):
 
 
 def test_jobs_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("MILNOR_LAB_JOBS", "0")
-    code, _, err = run_cli(capsys, "verify", "--max-branches", "1",
-                           "--max-mult", "1", "--max-delta", "0", "--max-int", "1")
-    assert code == 1
-    assert "--jobs" in err
+    for raw in ("0", "-3"):
+        monkeypatch.setenv("MILNOR_LAB_JOBS", raw)
+        code, out, err = run_cli(capsys, "verify", "--max-branches", "1",
+                                 "--max-mult", "1", "--max-delta", "0", "--max-int", "1")
+        assert code == 1 and out == ""
+        assert err == f"error: MILNOR_LAB_JOBS must be >= 1, got '{raw}'\n"
+
+
+def test_jobs_flag_below_one(capsys):
+    code, out, err = run_cli(capsys, "verify", "--max-branches", "1", "--max-mult", "1",
+                             "--max-delta", "0", "--max-int", "1", "--jobs", "0")
+    assert code == 1 and out == ""
+    assert err == "error: --jobs must be >= 1\n"
 
 
 def test_jobs_env_not_an_integer(capsys, monkeypatch):
@@ -563,22 +571,22 @@ def test_verify_violations_keep_order_across_chunks(monkeypatch):
     assert parallel.checked == serial.checked
 
 
-def test_verify_jobs_byte_identical():
+def test_verify_jobs_byte_identical(cli_env):
     args = ["verify", "--max-branches", "2", "--max-mult", "3",
             "--max-delta", "1", "--max-int", "2"]
     runs = [
         subprocess.run([sys.executable, "-m", "milnor_lab.cli", *args, "--jobs", jobs],
-                       capture_output=True, check=True)
+                       capture_output=True, check=True, env=cli_env)
         for jobs in ("1", "4")
     ]
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout  # non-empty report
 
 
-def test_analyze_stdin():
+def test_analyze_stdin(cli_env):
     result = subprocess.run(
         [sys.executable, "-m", "milnor_lab.cli", "analyze", "-"],
-        input=X3.encode(), capture_output=True, check=True,
+        input=X3.encode(), capture_output=True, check=True, env=cli_env,
     )
     report = json.loads(result.stdout)
     assert report["fibre"]["d"] == 3

@@ -254,6 +254,7 @@ def _brute_force_count(bounds):
     CorpusBounds(2, 2, 1, 2),
     CorpusBounds(3, 2, 0, 2),
     CorpusBounds(3, 3, 1, 2),
+    CorpusBounds(4, 2, 0, 2),  # branch types a, a, b, b: a stabilizer S_2 x S_2
 ])
 def test_corpus_matches_brute_force(bounds):
     got = list(enumerate_corpus(bounds))
