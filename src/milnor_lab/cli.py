@@ -3,8 +3,8 @@
 Subcommands: ``analyze`` (full report for one datum), ``verify`` (property
 sweep over an exhaustive corpus), ``enumerate`` (stream the corpus).
 
-Exit codes: 0 success, 1 input error, 2 property violation found,
-3 internal inconsistency.
+Exit codes: 0 success, 1 input error or closed stdout, 2 property
+violation found, 3 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -129,15 +129,14 @@ def _qh_branch(item: str) -> dict:
 
 
 def _read_spec(source: str):
-    if source == "-":
-        return parse_datum(sys.stdin.read())
-    stripped = source.lstrip()
-    if stripped.startswith("{"):
+    if source.lstrip().startswith("{"):
         return parse_datum(source)
     try:
-        text = Path(source).read_text(encoding="utf-8")
+        text = (sys.stdin.buffer.read().decode("utf-8") if source == "-"
+                else Path(source).read_text(encoding="utf-8"))
     except UnicodeDecodeError:
-        raise CurveSpecError(f"{source} is not UTF-8 text") from None
+        name = "stdin" if source == "-" else source
+        raise CurveSpecError(f"{name} is not UTF-8 text") from None
     except OSError as exc:
         raise CurveSpecError(f"cannot read {source}: {exc.strerror}") from None
     return parse_datum(text)
@@ -225,7 +224,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): devnull takes what is still buffered
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CurveSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

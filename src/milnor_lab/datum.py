@@ -323,19 +323,11 @@ def parse_datum(text: str) -> EquisingularDatum:
 # ---------------------------------------------------------------------------
 
 def _stabilizer_perms(branch_types):
-    """Permutations of positions preserving the sorted branch-type tuple."""
-    groups = []
-    start = 0
-    for pos in range(1, len(branch_types) + 1):
-        if pos == len(branch_types) or branch_types[pos] != branch_types[start]:
-            groups.append(list(range(start, pos)))
-            start = pos
-    for combo in itertools.product(*(itertools.permutations(g) for g in groups)):
-        perm = [None] * len(branch_types)
-        for g, image in zip(groups, combo):
-            for src, dst in zip(g, image):
-                perm[src] = dst
-        yield tuple(perm)
+    """Permutations of positions preserving the sorted branch-type tuple:
+    one permutation of each run of equal types, runs in order."""
+    runs = itertools.groupby(range(len(branch_types)), key=branch_types.__getitem__)
+    for combo in itertools.product(*(itertools.permutations(run) for _, run in runs)):
+        yield tuple(itertools.chain.from_iterable(combo))
 
 
 def enumerate_corpus(bounds: CorpusBounds):

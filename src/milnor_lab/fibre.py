@@ -14,13 +14,19 @@ The sheet shift a -> a+1 (mod m_i) is an automorphism of the graph and
 realizes the Milnor monodromy on components.
 
 A node of the network stands for ``copies`` identical double points
-(I_ij crossings or delta_i self points).  Their gadgets join the same
+(I_ij crossings or delta_i self points).  Their annuli join the same
 sheets in the same way, so extra copies change neither connectivity nor
-the sheet shift; they only add to V - E.  One gadget per distinct double
-point is built, weighted by its copies: ``vertex_count`` and
-``edge_count`` count the full expansion, while union-find and the shift
-run on the ``size`` vertices actually built, whose number does not depend
-on delta_i or I_ij.
+the sheet shift; they only add to V - E.  The annuli of each node are
+built once, weighted by its copies: ``vertex_count`` and ``edge_count``
+count the full expansion, while union-find and the shift run on the
+``size`` vertices actually built, whose number does not depend on
+delta_i or I_ij.
+
+The graph records its layout once, as the cycles of the sheet shift in
+vertex order: ``shift_cycles`` holds ``(first vertex, length)`` for the
+m_i sheets of each branch, then for the gcd(p, q) annuli of each network
+node.  It depends only on the datum's shape, and the shift is expanded
+from it only while the monodromy is checked.
 """
 
 from __future__ import annotations
@@ -35,24 +41,14 @@ from .network import NetworkNode, build_network
 
 
 @dataclass(frozen=True)
-class _Gadget:
-    """The g = gcd(p, q) annuli of one network node, built at vertices
-    ``base`` to ``base + g - 1``."""
-
-    g: int
-    base: int
-
-
-@dataclass(frozen=True)
 class FibreGraph:
     """The fibre graph of one datum and what it yields, each computed at most once."""
 
     datum: EquisingularDatum
     network: tuple[NetworkNode, ...]
-    sheet_offsets: tuple[int, ...]
-    gadgets: tuple[_Gadget, ...]  # gadgets[n] expands network[n]
+    shift_cycles: tuple[tuple[int, int], ...]  # (first vertex, length): branches, then nodes
     edges: tuple[tuple[int, int], ...]  # built edges, loops included, endpoints sorted
-    size: int  # built vertices: the sheets, then one gadget per node
+    size: int  # built vertices: the sheets, then the annuli of each node
     vertex_count: int  # vertices of the full expansion, every copy counted
     edge_count: int  # edges of the full expansion, every copy counted
 
@@ -119,7 +115,10 @@ class FibreGraph:
     def monodromy(self) -> ComponentMonodromy:
         """Permutation of the components induced by the sheet shift."""
         labels = self.labels
-        sigma = _shift_permutation(self)
+        sigma = []
+        for first, length in self.shift_cycles:
+            sigma += range(first + 1, first + length)
+            sigma.append(first)
         # a multiset comparison: self nodes give parallel edges
         mapped = []
         for u, v in self.edges:
@@ -161,37 +160,36 @@ class ComponentMonodromy:
 
 
 def build_fibre_graph(datum: EquisingularDatum) -> FibreGraph:
-    """Build one annulus gadget per network node, weighted by its copies."""
+    """Build the annuli of each network node once, weighted by its copies."""
     require_valid(datum)
-    offsets = []
+    cycles = []
     vertex = 0
     for b in datum.branches:
-        offsets.append(vertex)
+        cycles.append((vertex, b.multiplicity))
         vertex += b.multiplicity
 
     network = tuple(build_network(datum))
-    gadgets = []
     edges = []
     vertex_count = vertex
     edge_count = 0
     for node in network:
-        bq = node.i if node.j is None else node.j
+        off_p = cycles[node.i][0]
+        off_q = cycles[node.i if node.j is None else node.j][0]
         g = gcd(node.p, node.q)
-        gadgets.append(_Gadget(g, vertex))
+        cycles.append((vertex, g))
         first = len(edges)
         for c in range(g):
             av = vertex + c
             edges.append((av, av))  # core circle of the annulus
             for a in range(c, node.p, g):
-                edges.append((offsets[node.i] + a, av))
+                edges.append((off_p + a, av))
             for a in range(c, node.q, g):
-                edges.append((offsets[bq] + a, av))
+                edges.append((off_q + a, av))
         vertex += g
         vertex_count += node.copies * g
         edge_count += node.copies * (len(edges) - first)
     return FibreGraph(
-        datum, network, tuple(offsets), tuple(gadgets), tuple(edges),
-        vertex, vertex_count, edge_count,
+        datum, network, tuple(cycles), tuple(edges), vertex, vertex_count, edge_count,
     )
 
 
@@ -229,18 +227,6 @@ def analyse(datum: EquisingularDatum) -> FibreGraph:
 def fibre_summary(datum: EquisingularDatum) -> FibreSummary:
     """Components, b_1 and chi of the fibre, each checked by two routes."""
     return analyse(datum).summary
-
-
-def _shift_permutation(graph: FibreGraph) -> list[int]:
-    sigma = [0] * graph.size
-    for i, b in enumerate(graph.datum.branches):
-        off = graph.sheet_offsets[i]
-        for a in range(b.multiplicity):
-            sigma[off + a] = off + (a + 1) % b.multiplicity
-    for gadget in graph.gadgets:
-        for c in range(gadget.g):
-            sigma[gadget.base + c] = gadget.base + (c + 1) % gadget.g
-    return sigma
 
 
 def component_monodromy(datum: EquisingularDatum) -> ComponentMonodromy:

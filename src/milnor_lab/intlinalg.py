@@ -22,15 +22,6 @@ class IntMatrix:
     cols: int
     entries: tuple[tuple[int, ...], ...]
 
-    @staticmethod
-    def from_rows(rows_data) -> "IntMatrix":
-        entries = tuple(tuple(int(v) for v in row) for row in rows_data)
-        nrows = len(entries)
-        ncols = len(entries[0]) if entries else 0
-        if any(len(row) != ncols for row in entries):
-            raise ValueError("ragged rows")
-        return IntMatrix(nrows, ncols, entries)
-
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 

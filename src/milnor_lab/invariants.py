@@ -188,7 +188,7 @@ def boundary2_components(datum: EquisingularDatum) -> Boundary2Report:
 
     entries = []
     for i in sing:
-        m = datum.branches[i].multiplicity
+        off, m = graph.shift_cycles[i]  # the sheets of branch i
         mono = vertical_shift(datum, i)
         g = gcd(m, mono.shift)
         pres = cokernel(shift_minus_identity(mono))
@@ -197,7 +197,6 @@ def boundary2_components(datum: EquisingularDatum) -> Boundary2Report:
                 f"branch {i + 1}: cokernel route gives Z^{pres.free_rank} "
                 f"plus torsion {list(pres.torsion)}, orbit route gives Z^{g}"
             )
-        off = graph.sheet_offsets[i]
         comps = labels[off:off + m]
         chain_ok = (
             g % n_components == 0

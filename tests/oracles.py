@@ -38,6 +38,18 @@ def local_fibre(p: int, q: int) -> LocalFibre:
     return LocalFibre(gcd(p, q), p, q)
 
 
+def int_matrix(rows, cols=None) -> IntMatrix:
+    """An IntMatrix from its rows; ``cols`` gives the width when there are none."""
+    entries = tuple(tuple(int(v) for v in row) for row in rows)
+    if cols is None:
+        if not entries:
+            raise ValueError("a matrix with no rows needs cols")
+        cols = len(entries[0])
+    if any(len(row) != cols for row in entries):
+        raise ValueError("ragged rows")
+    return IntMatrix(len(entries), cols, entries)
+
+
 def zeros(rows: int, cols: int) -> IntMatrix:
     return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
@@ -86,7 +98,7 @@ def determinant(matrix: IntMatrix) -> int:
 def permutation_matrix(mono) -> IntMatrix:
     """The m x m matrix of a vertical monodromy: sheet a goes to (a + k) mod m."""
     m, k = mono.m, mono.shift
-    return IntMatrix.from_rows(
+    return int_matrix(
         [1 if b == (a + k) % m else 0 for a in range(m)] for b in range(m)
     )
 

@@ -15,7 +15,6 @@ import pytest
 
 from milnor_lab import (
     CorpusBounds,
-    IntMatrix,
     beta,
     boundary2_components,
     build_fibre_graph,
@@ -29,7 +28,7 @@ from milnor_lab import (
     smith_normal_form,
 )
 from milnor_lab.cli import main as cli_main
-from oracles import determinant, matmul
+from oracles import determinant, int_matrix, matmul
 
 BOUNDS = CorpusBounds(3, 4, 3, 3)
 
@@ -147,7 +146,7 @@ def test_criterion_07_snf_suite(singular_reports):
     for _ in range(1000):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
-        matrix = IntMatrix.from_rows([
+        matrix = int_matrix([
             [rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)
         ])
         dec = smith_normal_form(matrix)

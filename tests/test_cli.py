@@ -590,3 +590,41 @@ def test_analyze_stdin(cli_env):
     )
     report = json.loads(result.stdout)
     assert report["fibre"]["d"] == 3
+
+
+@pytest.mark.parametrize("source", [["-"], ["--family", "power", "--base", "-",
+                                            "--exponent", "2"]], ids=["spec", "base"])
+def test_stdin_not_utf8(cli_env, source):
+    result = subprocess.run(
+        [sys.executable, "-m", "milnor_lab.cli", "analyze", *source],
+        input=b"\xff{", capture_output=True,
+        env={**cli_env, "PYTHONIOENCODING": "utf-8:strict"},
+    )
+    assert (result.returncode, result.stdout) == (1, b"")
+    assert result.stderr == b"error: stdin is not UTF-8 text\n"
+
+
+def test_stdin_read_as_utf8_under_any_locale_encoding(cli_env, tmp_path):
+    spec = '{"branches":[{"label":"\u00e9","multiplicity":3,"delta":0}],"intersections":[[0]]}'
+    out_file = tmp_path / "report.json"
+    subprocess.run(
+        [sys.executable, "-m", "milnor_lab.cli", "analyze", "-", "--out", str(out_file)],
+        input=spec.encode("utf-8"), capture_output=True, check=True,
+        env={**cli_env, "PYTHONIOENCODING": "latin-1"},
+    )
+    report = json.loads(out_file.read_text(encoding="utf-8"))
+    assert report["datum"]["branches"][0]["label"] == "\u00e9"
+
+
+def test_enumerate_into_closed_pipe(cli_env):
+    # the reader takes one line and closes the pipe, as `| head -1` does
+    with subprocess.Popen(
+        [sys.executable, "-m", "milnor_lab.cli", "enumerate", "--max-branches", "3",
+         "--max-mult", "4", "--max-delta", "3", "--max-int", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env,
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"{")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert err == b""

@@ -52,8 +52,8 @@ def _brute_components(vertex_count, edges):
 
 def test_graph_monomial_2_2():
     graph = build_fibre_graph(from_monomial(2, 2))
-    assert graph.sheet_offsets == (0, 2)  # 4 sheets
-    assert graph.gadgets[0].base == 4
+    # the shift's cycles: 2 + 2 sheets, then the 2 annuli of the one node
+    assert graph.shift_cycles == ((0, 2), (2, 2), (4, 2))
     assert graph.vertex_count == 6  # 4 sheets + 2 annuli
     loops = [e for e in graph.edges if e[0] == e[1]]
     incidences = [e for e in graph.edges if e[0] != e[1]]
@@ -202,32 +202,34 @@ def test_check_datum_reads_beta_once_per_singular_datum(monkeypatch):
 def test_structural_invariants_over_corpus():
     for datum in enumerate_corpus(CorpusBounds(3, 3, 2, 2)):
         graph = build_fibre_graph(datum)
-        # one gadget per network node, g = gcd(p, q) annuli, the gadgets'
-        # vertices following the sheets contiguously
-        assert len(graph.gadgets) == len(graph.network)
+        # the shift's cycles in vertex order: the m_i sheets of each branch,
+        # then g = gcd(p, q) annuli per network node, all contiguous
+        layout, vertex = [], 0
+        for m in datum.multiplicities:
+            layout.append((vertex, m))
+            vertex += m
+        for node in graph.network:
+            layout.append((vertex, gcd(node.p, node.q)))
+            vertex += gcd(node.p, node.q)
+        assert graph.shift_cycles == tuple(layout)
         sheets = sum(datum.multiplicities)
-        pairs = list(zip(graph.network, graph.gadgets))
-        base = sheets
-        for node, gadget in pairs:
-            assert gadget.g == gcd(node.p, node.q)
-            assert gadget.base == base
-            base += gadget.g
-        assert graph.size == sheets + sum(g.g for _, g in pairs)
-        assert graph.vertex_count == sheets + sum(n.copies * g.g for n, g in pairs)
-        assert graph.edge_count == sum(n.copies * (g.g + n.p + n.q) for n, g in pairs)
-        # re-derive the expected edge multiset for one copy per gadget: a loop
+        pairs = list(zip(graph.network, (g for _, g in layout[datum.r:])))
+        assert graph.size == sheets + sum(g for _, g in pairs)
+        assert graph.vertex_count == sheets + sum(n.copies * g for n, g in pairs)
+        assert graph.edge_count == sum(n.copies * (g + n.p + n.q) for n, g in pairs)
+        # re-derive the expected edge multiset for one copy per node: a loop
         # per annulus, and annulus c incident to exactly the sheets with index
         # congruent to c mod gcd
         expected = []
-        for node, gadget in pairs:
-            off_p = graph.sheet_offsets[node.i]
-            off_q = graph.sheet_offsets[node.i if node.j is None else node.j]
-            for c in range(gadget.g):
-                av = gadget.base + c
+        for node, (base, g) in zip(graph.network, layout[datum.r:]):
+            off_p = layout[node.i][0]
+            off_q = layout[node.i if node.j is None else node.j][0]
+            for c in range(g):
+                av = base + c
                 expected.append((av, av))
-                for a in range(c, node.p, gadget.g):
+                for a in range(c, node.p, g):
                     expected.append(tuple(sorted((off_p + a, av))))
-                for a in range(c, node.q, gadget.g):
+                for a in range(c, node.q, g):
                     expected.append(tuple(sorted((off_q + a, av))))
         assert sorted(expected) == sorted(tuple(sorted(e)) for e in graph.edges)
         summary = fibre_summary(datum)

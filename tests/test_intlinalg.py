@@ -9,7 +9,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from milnor_lab import IntMatrix, cokernel, smith_normal_form
 from milnor_lab.intlinalg import CokernelPresentation
-from oracles import determinant, matmul, zeros
+from oracles import determinant, int_matrix, matmul, zeros
 
 
 def _check_decomposition(matrix, dec):
@@ -30,9 +30,9 @@ def _check_decomposition(matrix, dec):
 
 
 def test_snf_diag_2_3():
-    dec = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
+    dec = smith_normal_form(int_matrix([[2, 0], [0, 3]]))
     assert dec.diagonal() == (1, 6)
-    _check_decomposition(IntMatrix.from_rows([[2, 0], [0, 3]]), dec)
+    _check_decomposition(int_matrix([[2, 0], [0, 3]]), dec)
 
 
 def test_snf_zero_matrix():
@@ -43,7 +43,7 @@ def test_snf_zero_matrix():
 
 
 def test_snf_2x2_example():
-    matrix = IntMatrix.from_rows([[2, 4], [6, 8]])
+    matrix = int_matrix([[2, 4], [6, 8]])
     dec = smith_normal_form(matrix)
     # d1 = gcd of entries = 2, d1*d2 = |det| = 8
     assert dec.diagonal() == (2, 4)
@@ -62,7 +62,7 @@ def test_snf_random_reconstruction():
     for _ in range(500):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
-        matrix = IntMatrix.from_rows([
+        matrix = int_matrix([
             [rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)
         ])
         dec = smith_normal_form(matrix)
@@ -80,7 +80,7 @@ def test_snf_matches_sympy_invariant_factors():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         data = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        ours = smith_normal_form(IntMatrix.from_rows(data)).diagonal()
+        ours = smith_normal_form(int_matrix(data)).diagonal()
         theirs = sympy_snf(SymMatrix(data))
         theirs_diag = [abs(int(theirs[i, i])) for i in range(min(rows, cols))]
         assert [d for d in ours if d] == [d for d in theirs_diag if d]
@@ -90,14 +90,14 @@ def test_snf_deterministic():
     rng = random.Random(5)
     for _ in range(50):
         data = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
-        first = smith_normal_form(IntMatrix.from_rows(data))
-        second = smith_normal_form(IntMatrix.from_rows(data))
+        first = smith_normal_form(int_matrix(data))
+        second = smith_normal_form(int_matrix(data))
         assert first == second
 
 
 def test_coefficient_growth_handled_exactly():
     # ill-conditioned integer matrix; everything must stay exact
-    matrix = IntMatrix.from_rows([
+    matrix = int_matrix([
         [998, 999, 997, 996],
         [995, 994, 993, 992],
         [991, 990, 989, 988],
@@ -108,7 +108,7 @@ def test_coefficient_growth_handled_exactly():
 
 
 def test_cokernel_shift_minus_identity():
-    coker = cokernel(IntMatrix.from_rows([[-1, 1], [1, -1]]))
+    coker = cokernel(int_matrix([[-1, 1], [1, -1]]))
     assert (coker.free_rank, coker.torsion) == (1, ())
 
 
@@ -122,12 +122,12 @@ def test_cokernel_shift_by_two_on_z4():
     for a in range(4):
         perm[(a + 2) % 4][a] = 1
         perm[a][a] -= 1
-    coker = cokernel(IntMatrix.from_rows(perm))
+    coker = cokernel(int_matrix(perm))
     assert (coker.free_rank, coker.torsion) == (2, ())
 
 
 def test_cokernel_with_torsion():
-    coker = cokernel(IntMatrix.from_rows([[2, 0], [0, 3]]))
+    coker = cokernel(int_matrix([[2, 0], [0, 3]]))
     assert (coker.free_rank, coker.torsion) == (0, (6,))
 
 
@@ -139,7 +139,7 @@ def test_cyclic_shift_cokernels():
             for a in range(m):
                 mat[(a + k) % m][a] += 1
                 mat[a][a] -= 1
-            coker = cokernel(IntMatrix.from_rows(mat))
+            coker = cokernel(int_matrix(mat))
             assert coker.free_rank == gcd(m, k)  # gcd(m, 0) = m
             assert coker.torsion == ()
 
