@@ -131,6 +131,8 @@ def _qh_branch(item: str) -> dict:
 def _read_spec(source: str):
     if source.lstrip().startswith("{"):
         return parse_datum(source)
+    if source == "-" and sys.stdin is None:
+        raise CurveSpecError("stdin is closed")
     try:
         text = (sys.stdin.buffer.read().decode("utf-8") if source == "-"
                 else Path(source).read_text(encoding="utf-8"))

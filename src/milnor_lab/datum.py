@@ -265,6 +265,8 @@ def expand_spec(obj) -> EquisingularDatum:
         label = item.get("label")
         if label is not None and not isinstance(label, str):
             raise CurveSpecError(f"branch {n}: 'label' must be a string")
+        if label is not None and any("\ud800" <= c <= "\udfff" for c in label):
+            raise CurveSpecError(f"branch {n}: 'label' does not encode as UTF-8")
         branches.append(Branch(
             _expect_int(item, "multiplicity", f"branch {n}"),
             _expect_int(item, "delta", f"branch {n}"),

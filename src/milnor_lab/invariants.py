@@ -65,17 +65,18 @@ class Boundary2Branch:
 
 
 @dataclass(frozen=True)
-class Boundary2Report:
-    branches: tuple[Boundary2Branch, ...]
-
-
-@dataclass(frozen=True)
 class UpperBoundVerdict:
     # The report's "upper_bound" section is asdict() of this: field order is key order.
     hypothesis: bool
     cokernels_free: bool | None
     shifts_identity: bool | None
     conclusion_holds: bool | None
+
+
+@dataclass(frozen=True)
+class Boundary2Report:
+    branches: tuple[Boundary2Branch, ...]
+    upper_bound: UpperBoundVerdict
 
 
 @dataclass(frozen=True)
@@ -178,12 +179,16 @@ def boundary2_components(datum: EquisingularDatum) -> Boundary2Report:
     torsion.  chain_ok additionally checks, on the fibre graph, that the
     residue classes of branch-i sheets mod gcd(m_i, k_i) map consistently
     onto the fibre components, so the composed boundary map is onto.
+
+    The upper-bound verdict reads the same entries.  Hypothesis (reduced
+    reading): b_0(F) - 1 equals the sum of the transversal Milnor numbers.
+    Under it, the per-branch cokernels must be free and every shift k_i
+    must vanish mod m_i.
     """
-    require_valid(datum)
+    graph = analyse(datum)  # validates the datum
     sing = singular_branches(datum)
     if not sing:
         raise ReducedDatumError("boundary components undefined: isolated singularity")
-    graph = analyse(datum)
     labels, n_components = graph.labels, graph.d
 
     entries = []
@@ -204,30 +209,17 @@ def boundary2_components(datum: EquisingularDatum) -> Boundary2Report:
             and set(comps[:g]) == set(range(n_components))
         )
         entries.append(Boundary2Branch(i, mono.shift, g, pres, chain_ok))
-    return Boundary2Report(tuple(entries))
+    free = all(not e.coker.torsion for e in entries)
+    identity = all(e.shift == 0 for e in entries)
+    attained = graph.summary.d - 1 == sum(datum.branches[i].multiplicity - 1 for i in sing)
+    verdict = (UpperBoundVerdict(True, free, identity, free and identity) if attained
+               else UpperBoundVerdict(False, None, None, None))
+    return Boundary2Report(tuple(entries), verdict)
 
 
 def check_upper_bound(datum: EquisingularDatum) -> UpperBoundVerdict:
-    """When rank H_0(F) attains its bound, the vertical monodromies must be trivial.
-
-    Hypothesis (reduced reading): b_0(F) - 1 equals the sum of the
-    transversal Milnor numbers.  Under it, the per-branch cokernels must
-    be free and every shift k_i must vanish mod m_i.
-    """
-    trans = transversal_data(datum)
-    if not trans.branches:
-        raise ReducedDatumError("upper-bound check undefined: isolated singularity")
-    summary = fibre_summary(datum)
-    mu_perp_sum = sum(e.mu_perp for e in trans.branches)
-    hypothesis = summary.d - 1 == mu_perp_sum
-    if not hypothesis:
-        return UpperBoundVerdict(False, None, None, None)
-    report = boundary2_components(datum)
-    cokernels_free = all(not e.coker.torsion for e in report.branches)
-    shifts_identity = all(e.shift == 0 for e in report.branches)
-    return UpperBoundVerdict(
-        True, cokernels_free, shifts_identity, cokernels_free and shifts_identity
-    )
+    """When rank H_0(F) attains its bound, the vertical monodromies must be trivial."""
+    return boundary2_components(datum).upper_bound
 
 
 def classify_xr(datum: EquisingularDatum) -> XrVerdict:

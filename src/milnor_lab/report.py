@@ -12,13 +12,7 @@ from dataclasses import asdict
 from ._version import __version__
 from .datum import EquisingularDatum, serialize_datum
 from .fibre import analyse, component_monodromy, divide_by_gcd, fibre_summary
-from .invariants import (
-    beta,
-    boundary2_components,
-    check_upper_bound,
-    classify_xr,
-    transversal_data,
-)
+from .invariants import beta, boundary2_components, classify_xr, transversal_data
 
 
 def build_analysis(datum: EquisingularDatum) -> dict:
@@ -76,7 +70,7 @@ def build_analysis(datum: EquisingularDatum) -> dict:
             }
             for e in b2.branches
         ]
-        upper_bound = asdict(check_upper_bound(datum))
+        upper_bound = asdict(b2.upper_bound)
     else:
         beta_section = None
         vertical = []

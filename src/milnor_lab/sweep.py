@@ -12,7 +12,7 @@ import multiprocessing
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from math import gcd
 from time import perf_counter
 
@@ -22,7 +22,6 @@ from .fibre import analyse, component_monodromy, divide_by_gcd, euler_characteri
 from .invariants import (
     beta,
     boundary2_components,
-    check_upper_bound,
     is_power_of_smooth,
     mu_reduced,
     singular_branches,
@@ -48,24 +47,25 @@ class SweepResult:
 
 
 # --- property checks -------------------------------------------------------
-# each takes the datum's FibreGraph and its beta report (None when the datum
-# has no singular set), and returns a list of (expected, got, documented) triples
+# each takes the datum's FibreGraph, its beta report (None without a singular set)
+# and `boundary`, which builds its Boundary2Report on the first call (only
+# coker-rank and upper-bound call it), and returns (expected, got, documented) triples
 
-def _prop_lemma_d_gcd(graph, rep):
+def _prop_lemma_d_gcd(graph, rep, boundary):
     expected = gcd(*graph.datum.multiplicities)
     if graph.d != expected:
         return [(f"b0 = gcd(m_i) = {expected}", f"b0 = {graph.d}", False)]
     return []
 
 
-def _prop_two_route_chi(graph, rep):
+def _prop_two_route_chi(graph, rep, boundary):
     closed = euler_characteristic_closed(graph.datum)
     if graph.chi != closed:
         return [(f"V - E = closed form = {closed}", f"V - E = {graph.chi}", False)]
     return []
 
 
-def _prop_mu_reduced(graph, rep):
+def _prop_mu_reduced(graph, rep, boundary):
     if rep is not None:  # some m_i >= 2: not a reduced curve
         return []
     expected = mu_reduced(graph.datum)
@@ -74,7 +74,7 @@ def _prop_mu_reduced(graph, rep):
     return []
 
 
-def _prop_divide_by_gcd(graph, rep):
+def _prop_divide_by_gcd(graph, rep, boundary):
     d, reduced = divide_by_gcd(graph.datum)
     rgraph = analyse(reduced)
     out = []
@@ -87,14 +87,14 @@ def _prop_divide_by_gcd(graph, rep):
     return out
 
 
-def _prop_monodromy_cycle(graph, rep):
+def _prop_monodromy_cycle(graph, rep, boundary):
     mono = component_monodromy(graph.datum)
     if mono.cycle_type != (graph.d,):
         return [(f"cycle type [{graph.d}]", f"{list(mono.cycle_type)}", False)]
     return []
 
 
-def _prop_b1_zero_iff_xr(graph, rep):
+def _prop_b1_zero_iff_xr(graph, rep, boundary):
     datum = graph.datum
     if is_power_of_smooth(datum) != (graph.b1 == 0):
         return [(
@@ -105,13 +105,13 @@ def _prop_b1_zero_iff_xr(graph, rep):
     return []
 
 
-def _prop_beta_nonneg(graph, rep):
+def _prop_beta_nonneg(graph, rep, boundary):
     if rep.beta < 0:
         return [("beta >= 0", f"beta = {rep.beta}", False)]
     return []
 
 
-def _prop_corollary_beta0(graph, rep):
+def _prop_corollary_beta0(graph, rep, boundary):
     if rep.c1_beta_zero != rep.verdict_bobadilla:
         return [(
             "beta = 0 exactly for a power of a smooth branch",
@@ -121,7 +121,7 @@ def _prop_corollary_beta0(graph, rep):
     return []
 
 
-def _prop_c1_iff_c3(graph, rep):
+def _prop_c1_iff_c3(graph, rep, boundary):
     if rep.c1_beta_zero != rep.c3_homology_form:
         return [(
             "C1 (beta = 0) equivalent to C3 (b1 = 0 and b0 - 1 = sum mu_perp)",
@@ -131,11 +131,10 @@ def _prop_c1_iff_c3(graph, rep):
     return []
 
 
-def _prop_coker_rank(graph, rep):
+def _prop_coker_rank(graph, rep, boundary):
     out = []
     d = graph.d
-    report = boundary2_components(graph.datum)
-    for entry in report.branches:
+    for entry in boundary().branches:
         m = graph.datum.branches[entry.branch].multiplicity
         # independent orbit oracle for the shift a -> a + k (mod m)
         seen = set()
@@ -169,8 +168,8 @@ def _prop_coker_rank(graph, rep):
     return out
 
 
-def _prop_upper_bound(graph, rep):
-    verdict = check_upper_bound(graph.datum)
+def _prop_upper_bound(graph, rep, boundary):
+    verdict = boundary().upper_bound
     if verdict.hypothesis and not verdict.conclusion_holds:
         return [(
             "rank bound attained forces identity vertical monodromies",
@@ -181,7 +180,7 @@ def _prop_upper_bound(graph, rep):
     return []
 
 
-def _prop_chi_form(graph, rep):
+def _prop_chi_form(graph, rep, boundary):
     if rep.c1_beta_zero and not rep.c2_chi_form:
         return [(
             "beta = 0 implies chi(F) = 1 - sum mu_perp",
@@ -237,12 +236,13 @@ _CHUNKSIZE = 64
 def check_datum(datum: EquisingularDatum, names) -> list[Violation]:
     graph = analyse(datum)
     rep = beta(datum) if singular_branches(datum) else None
+    boundary = cache(partial(boundary2_components, datum))
     violations = []
     for name in names:
         fn, singular = _TABLE[name]
         if singular and rep is None:
             continue
-        for expected, got, documented in fn(graph, rep):
+        for expected, got, documented in fn(graph, rep, boundary):
             violations.append(Violation(datum, name, expected, got, documented))
     return violations
 

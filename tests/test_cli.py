@@ -284,6 +284,23 @@ def test_analyze_duplicate_key(capsys, text, key):
     assert err == f"error: duplicate key {key!r}\n"
 
 
+@pytest.mark.parametrize("where", ["inline", "file", "base"])
+def test_analyze_lone_surrogate_label(tmp_path, capsys, where):
+    # the JSON escape decodes to a lone surrogate, which no UTF-8 output can hold
+    text = r'{"branches":[{"label":"\ud800","multiplicity":1,"delta":0}],"intersections":[[0]]}'
+    code, out, err = run_cli(capsys, "analyze", *_hostile_argv(where, text, tmp_path))
+    assert code == 1 and out == ""
+    assert err == "error: branch 1: 'label' does not encode as UTF-8\n"
+
+
+@pytest.mark.parametrize("source", [["-"], ["--family", "power", "--base", "-",
+                                            "--exponent", "2"]], ids=["spec", "base"])
+def test_analyze_closed_stdin(capsys, monkeypatch, source):
+    monkeypatch.setattr(sys, "stdin", None)  # what Python sets when fd 0 is closed
+    code, out, err = run_cli(capsys, "analyze", *source)
+    assert (code, out, err) == (1, "", "error: stdin is closed\n")
+
+
 def test_internal_inconsistency_exit_3(capsys, monkeypatch):
     def boom(_datum):
         raise InternalInconsistencyError("chi mismatch: fabricated for the test")

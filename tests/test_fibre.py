@@ -7,6 +7,7 @@ import pytest
 
 import milnor_lab.datum
 import milnor_lab.fibre
+import milnor_lab.invariants
 import milnor_lab.sweep
 from milnor_lab import (
     CorpusBounds,
@@ -176,6 +177,26 @@ def test_check_datum_runs_the_closed_form_once(monkeypatch):
     datum = make_datum([(4, 1, "sweep-a"), (6, 2, "sweep-b")], [[0, 5], [5, 0]])
     assert milnor_lab.sweep.check_datum(datum, milnor_lab.sweep.DEFAULT_PROPERTIES) == []
     assert len(closed_forms) == 1
+
+
+def test_boundary_route_runs_once_per_datum(monkeypatch):
+    # the upper-bound verdict is read off the boundary report, so x^m, whose
+    # hypothesis holds, reduces its one cokernel once, not once per reader
+    cokernels = _count_calls(monkeypatch, milnor_lab.invariants, "cokernel")
+    report = build_analysis(make_datum([(5, 0)], [[0]]))
+    assert report["upper_bound"]["hypothesis"] and report["vertical"]
+    assert len(cokernels) == 1
+
+    cokernels.clear()
+    datum = make_datum([(4, 2)], [[0]])
+    assert milnor_lab.sweep.check_datum(datum, milnor_lab.sweep.DEFAULT_PROPERTIES) == []
+    assert len(cokernels) == 1
+
+    # a property set that reads no boundary never builds one
+    cokernels.clear()
+    datum = make_datum([(4, 1), (6, 2)], [[0, 5], [5, 0]])
+    assert milnor_lab.sweep.check_datum(datum, ("lemma-d-gcd",)) == []
+    assert cokernels == []
 
 
 def test_check_datum_property_alone_matches_full_suite():

@@ -227,6 +227,11 @@ def test_upper_bound_not_attained():
     assert verdict.conclusion_holds is None
 
 
+def test_upper_bound_reduced_rejected():
+    with pytest.raises(ReducedDatumError, match="isolated"):
+        check_upper_bound(make_datum([(1, 0), (1, 0)], [[0, 1], [1, 0]]))
+
+
 # -- classification and mu oracle ---------------------------------------------------
 
 def test_classify_x7():
