@@ -54,6 +54,11 @@ class BetaReport:
     c3_homology_form: bool
     verdict_bobadilla: bool
 
+    @property
+    def bound_attained(self) -> bool:
+        """The upper-bound hypothesis: b_0(F) - 1 = sum of the mu_perp."""
+        return self.b0 - 1 == self.total_transversal_points - self.singular_branch_count
+
 
 @dataclass(frozen=True)
 class Boundary2Branch:
@@ -71,6 +76,9 @@ class UpperBoundVerdict:
     cokernels_free: bool | None
     shifts_identity: bool | None
     conclusion_holds: bool | None
+
+
+_NOT_ATTAINED = UpperBoundVerdict(False, None, None, None)
 
 
 @dataclass(frozen=True)
@@ -192,8 +200,10 @@ def boundary2_components(datum: EquisingularDatum) -> Boundary2Report:
     labels, n_components = graph.labels, graph.d
 
     entries = []
+    mu_perp_sum = 0
     for i in sing:
         off, m = graph.shift_cycles[i]  # the sheets of branch i
+        mu_perp_sum += m - 1
         mono = vertical_shift(datum, i)
         g = gcd(m, mono.shift)
         pres = cokernel(shift_minus_identity(mono))
@@ -209,16 +219,18 @@ def boundary2_components(datum: EquisingularDatum) -> Boundary2Report:
             and set(comps[:g]) == set(range(n_components))
         )
         entries.append(Boundary2Branch(i, mono.shift, g, pres, chain_ok))
+    if graph.summary.d - 1 != mu_perp_sum:
+        return Boundary2Report(tuple(entries), _NOT_ATTAINED)
     free = all(not e.coker.torsion for e in entries)
     identity = all(e.shift == 0 for e in entries)
-    attained = graph.summary.d - 1 == sum(datum.branches[i].multiplicity - 1 for i in sing)
-    verdict = (UpperBoundVerdict(True, free, identity, free and identity) if attained
-               else UpperBoundVerdict(False, None, None, None))
+    verdict = UpperBoundVerdict(True, free, identity, free and identity)
     return Boundary2Report(tuple(entries), verdict)
 
 
 def check_upper_bound(datum: EquisingularDatum) -> UpperBoundVerdict:
     """When rank H_0(F) attains its bound, the vertical monodromies must be trivial."""
+    if not beta(datum).bound_attained:  # builds no boundary
+        return _NOT_ATTAINED
     return boundary2_components(datum).upper_bound
 
 

@@ -198,6 +198,11 @@ def test_boundary_route_runs_once_per_datum(monkeypatch):
     assert milnor_lab.sweep.check_datum(datum, ("lemma-d-gcd",)) == []
     assert cokernels == []
 
+    # nor does the upper bound where its hypothesis fails (b0 - 1 = 1, not 8)
+    assert milnor_lab.sweep.check_datum(datum, ("upper-bound",)) == []
+    assert not milnor_lab.check_upper_bound(datum).hypothesis
+    assert cokernels == []
+
 
 def test_check_datum_property_alone_matches_full_suite():
     sweep = milnor_lab.sweep
