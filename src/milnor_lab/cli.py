@@ -154,7 +154,11 @@ def cmd_analyze(args) -> int:
         except OSError as exc:
             raise CurveSpecError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except UnicodeEncodeError:
+            raise CurveSpecError(f"the report does not encode as {sys.stdout.encoding}; "
+                                 "write it with --out") from None
     if args.dump_snf:
         # the cokernel of the m x m matrix A - I is free (the report checks it),
         # so its Smith diagonal is units, then one zero per free rank

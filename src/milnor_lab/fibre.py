@@ -32,7 +32,7 @@ from it only while the monodromy is checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd
 
 from .datum import EquisingularDatum, Branch, require_valid
@@ -207,21 +207,14 @@ def euler_characteristic_closed(datum: EquisingularDatum) -> int:
     return total
 
 
-@lru_cache(maxsize=2)
-def _graph(datum: EquisingularDatum) -> FibreGraph:
-    return build_fibre_graph(datum)
-
-
 def analyse(datum: EquisingularDatum) -> FibreGraph:
-    """The fibre graph of a datum, validated first.
-
-    The last two datums are remembered by value, so the public functions
-    called on one datum share one graph: a sweep reads a datum and its
-    gcd-reduced datum, ``analyze`` reads one.
-    """
-    # validation precedes the lookup: True == 1 and 1.0 == 1, so an invalid
-    # datum can compare equal to a valid one
-    return _graph(require_valid(datum))
+    """The fibre graph of a datum, validated first and kept per datum object,
+    in its ``__dict__`` as ``cached_property`` keeps ``violations``: the calls
+    on one object share one graph, and the graph lives no longer than it."""
+    kept = vars(require_valid(datum))
+    if "_fibre_graph" not in kept:
+        kept["_fibre_graph"] = build_fibre_graph(datum)
+    return kept["_fibre_graph"]
 
 
 def fibre_summary(datum: EquisingularDatum) -> FibreSummary:

@@ -221,10 +221,9 @@ def boundary2_components(datum: EquisingularDatum) -> Boundary2Report:
         entries.append(Boundary2Branch(i, mono.shift, g, pres, chain_ok))
     if graph.summary.d - 1 != mu_perp_sum:
         return Boundary2Report(tuple(entries), _NOT_ATTAINED)
-    free = all(not e.coker.torsion for e in entries)
+    # every cokernel is free: the loop above raises on any torsion
     identity = all(e.shift == 0 for e in entries)
-    verdict = UpperBoundVerdict(True, free, identity, free and identity)
-    return Boundary2Report(tuple(entries), verdict)
+    return Boundary2Report(tuple(entries), UpperBoundVerdict(True, True, identity, identity))
 
 
 def check_upper_bound(datum: EquisingularDatum) -> UpperBoundVerdict:

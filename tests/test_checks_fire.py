@@ -1,0 +1,232 @@
+"""Every check of the program fires: each sweep property and each
+internal-inconsistency raise, fed a real object with one part broken.
+
+A check that no test sees fire can be deleted or inverted without a test
+failing; these tests pin the exact message of each one.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+import milnor_lab.fibre
+import milnor_lab.invariants
+from milnor_lab import (
+    UpperBoundVerdict,
+    beta,
+    boundary2_components,
+    from_monomial,
+    make_datum,
+)
+from milnor_lab.cli import main
+from milnor_lab.fibre import FibreGraph, analyse
+from milnor_lab.intlinalg import CokernelPresentation
+from milnor_lab.invariants import singular_branches
+from milnor_lab.sweep import ALL_PROPERTIES, _TABLE, _prop_divide_by_gcd, check_datum
+
+M46 = '{"family":"monomial","p":4,"q":6}'
+
+
+# fresh datum objects per call: each keeps its own graph
+def _m46():
+    return from_monomial(4, 6)  # d = 2, k = (2, 4), bound not attained
+
+
+def _x6():
+    return make_datum([(6, 0)], [[0]])  # d = 6, the bound attained
+
+
+def _node():
+    return make_datum([(1, 0), (1, 0)], [[0, 1], [1, 0]])  # reduced, mu = 1
+
+
+def _edge_count_plus_one(graph, rep, report):
+    return replace(graph, edge_count=graph.edge_count + 1), rep, report
+
+
+def _no_edges(graph, rep, report):
+    return replace(graph, edges=()), rep, report
+
+
+def _rep(**change):
+    return lambda graph, rep, report: (graph, replace(rep, **change), report)
+
+
+def _first_branch(**change):
+    def brk(graph, rep, report):
+        first = replace(report.branches[0], **change)
+        return graph, rep, replace(report, branches=(first,) + report.branches[1:])
+    return brk
+
+
+def _verdict(**change):
+    def brk(graph, rep, report):
+        return graph, rep, replace(report, upper_bound=replace(report.upper_bound, **change))
+    return brk
+
+
+# property, datum, break, the (expected, got, documented) triples it must report
+BREAKS = [
+    ("lemma-d-gcd", _m46, _no_edges, [("b0 = gcd(m_i) = 2", "b0 = 12", False)]),
+    ("two-route-chi", _m46, _edge_count_plus_one,
+     [("V - E = closed form = 0", "V - E = -1", False)]),
+    ("mu-reduced", _node, _edge_count_plus_one,
+     [("b1 = 2*delta_total - r + 1 = 1", "b1 = 2", False)]),
+    ("divide-by-gcd", _m46, _edge_count_plus_one,
+     [("(b0, b1, chi) = d * reduced = (2, 2, 0)", "(2, 3, -1)", False)]),
+    ("monodromy-cycle", _m46, _no_edges, [("cycle type [12]", "[2]", False)]),
+    ("prop1-b1-xr", _x6, _edge_count_plus_one,
+     [("b1 = 0 exactly for a power of a smooth branch", "r = 1, delta = [0], b1 = 1", False)]),
+    ("beta-nonneg", _m46, _rep(beta=-1), [("beta >= 0", "beta = -1", False)]),
+    ("corollary-beta0", _x6, _rep(verdict_bobadilla=False),
+     [("beta = 0 exactly for a power of a smooth branch",
+       "beta = 0, structural verdict = False", False)]),
+    ("c1-iff-c3", _x6, _rep(c3_homology_form=False),
+     [("C1 (beta = 0) equivalent to C3 (b1 = 0 and b0 - 1 = sum mu_perp)",
+       "C1 = True, C3 = False", False)]),
+    ("coker-rank", _m46, _first_branch(coker=CokernelPresentation(3, ())),
+     [("branch 1: coker(A - I) free of rank 2", "rank 3, torsion []", False)]),
+    ("coker-rank", _m46, _first_branch(coker=CokernelPresentation(2, (2,))),
+     [("branch 1: coker(A - I) free of rank 2", "rank 2, torsion [2]", False)]),
+    ("coker-rank", _m46, _first_branch(components=3),
+     [("branch 1: d | gcd(m, k)", "d = 2, gcd = 3", False)]),
+    ("coker-rank", _m46, _first_branch(chain_ok=False),
+     [("branch 1: boundary components map onto fibre components", "chain_ok = False", False)]),
+    ("upper-bound", _x6, _verdict(shifts_identity=False, conclusion_holds=False),
+     [("rank bound attained forces identity vertical monodromies",
+       "cokernels_free = True, shifts_identity = False", False)]),
+    ("prop2-chi-form", _m46, _rep(c1_beta_zero=True),
+     [("beta = 0 implies chi(F) = 1 - sum mu_perp",
+       "beta = 0, chi-form false (b0 = 2, b1 = 2)", True)]),
+]
+
+
+def test_every_property_has_a_break():
+    assert {name for name, *_ in BREAKS} == set(ALL_PROPERTIES)
+
+
+@pytest.mark.parametrize("name,make,brk,expected", BREAKS,
+                         ids=[f"{case[0]}-{n}" for n, case in enumerate(BREAKS)])
+def test_property_fires_on_its_break(name, make, brk, expected):
+    datum = make()
+    graph = analyse(datum)
+    rep = beta(datum) if singular_branches(datum) else None
+    report = boundary2_components(datum) if rep is not None else None
+    fn = _TABLE[name][0]
+    assert fn(graph, rep, lambda: report) == []
+    graph, rep, report = brk(graph, rep, report)
+    assert fn(graph, rep, lambda: report) == expected
+
+
+def _corrupt_graphs(monkeypatch, **change):
+    """Make every graph built from now on a real one with ``change`` applied."""
+    real = milnor_lab.fibre.build_fibre_graph
+
+    def corrupted(datum):
+        graph = real(datum)
+        return replace(graph, **{field: f(graph) for field, f in change.items()})
+
+    monkeypatch.setattr(milnor_lab.fibre, "build_fibre_graph", corrupted)
+
+
+def test_divide_by_gcd_fires_on_a_disconnected_reduced_fibre(monkeypatch):
+    # gcd 1, so the datum is its own reduced datum; without the edge that
+    # joins the last sheet to the one annulus, that sheet is a component
+    _corrupt_graphs(monkeypatch, edges=lambda g: g.edges[:-1])
+    graph = analyse(make_datum([(2, 0), (3, 0)], [[0, 1], [1, 0]]))
+    assert _prop_divide_by_gcd(graph, None, None) == [
+        ("reduced fibre connected (b0 = 1)", "b0 = 2", False),
+    ]
+
+
+def _relabel(monkeypatch, new):
+    """Make union-find give the vertices in ``new`` the labels given there."""
+    real = FibreGraph.component_labels
+
+    def corrupted(self):
+        labels = real(self)
+        for vertex, label in new.items():
+            labels[vertex] = label
+        return labels
+
+    monkeypatch.setattr(FibreGraph, "component_labels", corrupted)
+
+
+def test_chain_ok_sees_sheets_that_miss_a_component(monkeypatch):
+    # branch 1's sheets all labelled 0: every class mod gcd is consistent and
+    # gcd is a multiple of d, but component 1 is never reached
+    _relabel(monkeypatch, {1: 0, 3: 0})
+    report = boundary2_components(from_monomial(4, 6))
+    assert [(e.branch, e.chain_ok) for e in report.branches] == [(0, False), (1, True)]
+    violations = check_datum(from_monomial(4, 6), ("coker-rank",))
+    assert [(v.prop, v.expected, v.got) for v in violations] == [(
+        "coker-rank",
+        "branch 1: boundary components map onto fibre components",
+        "chain_ok = False",
+    )]
+
+
+def test_upper_bound_verdict_reads_the_shifts(monkeypatch):
+    # x^4 attains the bound, so a vertical shift of 1 must break the verdict
+    real = milnor_lab.invariants.vertical_shift
+    monkeypatch.setattr(milnor_lab.invariants, "vertical_shift",
+                        lambda datum, i: replace(real(datum, i), shift=1))
+    datum = make_datum([(4, 0)], [[0]])
+    assert boundary2_components(datum).upper_bound == UpperBoundVerdict(True, True, False, False)
+    violations = check_datum(datum, ("upper-bound",))
+    assert [(v.prop, v.got) for v in violations] == [
+        ("upper-bound", "cokernels_free = True, shifts_identity = False"),
+    ]
+
+
+def _assert_inconsistent(capsys, message):
+    """``analyze`` of x^4 y^6 exits 3 with one stderr line and no report."""
+    code = main(["analyze", M46])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"internal inconsistency: {message}\n")
+
+
+def test_chi_mismatch_exit_3(capsys, monkeypatch):
+    _corrupt_graphs(monkeypatch, edge_count=lambda g: g.edge_count + 1)
+    _assert_inconsistent(capsys, "chi mismatch: graph V-E gives -1, closed form gives 0")
+
+
+def test_component_mismatch_exit_3(capsys, monkeypatch):
+    _corrupt_graphs(monkeypatch, edges=lambda g: ())
+    _assert_inconsistent(
+        capsys, "component mismatch: union-find gives 12, gcd of multiplicities gives 2"
+    )
+
+
+def test_shift_not_an_automorphism_exit_3(capsys, monkeypatch):
+    # sheet 0 moved from annulus 10 to annulus 11: the fibre still has two
+    # components, but the shift sends the moved edge (0, 11) to (1, 10)
+    _corrupt_graphs(monkeypatch, edges=lambda g: tuple(
+        (0, 11) if e == (0, 10) else e for e in g.edges
+    ))
+    _assert_inconsistent(
+        capsys, "sheet shift is not a graph automorphism (gluing convention broken)"
+    )
+
+
+def test_shift_splits_a_component_exit_3(capsys, monkeypatch):
+    # only a union-find fault reaches this raise: vertex 0 takes label 1,
+    # so the shift sends component 1 to both components
+    _relabel(monkeypatch, {0: 1})
+    _assert_inconsistent(capsys, "shift maps one component to two different components")
+
+
+def test_cokernel_route_disagrees_exit_3(capsys, monkeypatch):
+    real = milnor_lab.invariants.cokernel
+    monkeypatch.setattr(milnor_lab.invariants, "cokernel",
+                        lambda matrix: replace(real(matrix), torsion=(2,)))
+    _assert_inconsistent(
+        capsys, "branch 1: cokernel route gives Z^2 plus torsion [2], orbit route gives Z^2"
+    )
+
+
+def test_xr_routes_disagree_exit_3(capsys, monkeypatch):
+    real = milnor_lab.invariants.fibre_summary
+    monkeypatch.setattr(milnor_lab.invariants, "fibre_summary",
+                        lambda datum: replace(real(datum), b1=0))
+    _assert_inconsistent(capsys, "x^r classification routes disagree: structural False, b1 0")

@@ -633,6 +633,16 @@ def test_stdin_read_as_utf8_under_any_locale_encoding(cli_env, tmp_path):
     assert report["datum"]["branches"][0]["label"] == "\u00e9"
 
 
+def test_report_that_stdout_cannot_encode(cli_env):
+    spec = '{"branches":[{"label":"é","multiplicity":2,"delta":0}],"intersections":[[0]]}'
+    result = subprocess.run(
+        [sys.executable, "-m", "milnor_lab.cli", "analyze", spec],
+        capture_output=True, env={**cli_env, "PYTHONIOENCODING": "ascii"},
+    )
+    assert (result.returncode, result.stdout) == (1, b"")
+    assert result.stderr == b"error: the report does not encode as ascii; write it with --out\n"
+
+
 def test_enumerate_into_closed_pipe(cli_env):
     # the reader takes one line and closes the pipe, as `| head -1` does
     with subprocess.Popen(

@@ -10,11 +10,15 @@ import milnor_lab.fibre
 import milnor_lab.invariants
 import milnor_lab.sweep
 from milnor_lab import (
+    Branch,
     CorpusBounds,
+    EquisingularDatum,
     QuasiHomBranchSpec,
+    beta,
     boundary2_components,
     build_analysis,
     build_fibre_graph,
+    classify_xr,
     component_monodromy,
     divide_by_gcd,
     enumerate_corpus,
@@ -163,8 +167,7 @@ def test_build_analysis_builds_one_graph_and_validates_once(monkeypatch):
     builds = _count_calls(monkeypatch, milnor_lab.fibre, "build_fibre_graph")
     validations = _count_calls(monkeypatch, milnor_lab.datum, "validate")
     closed_forms = _count_calls(monkeypatch, milnor_lab.fibre, "euler_characteristic_closed")
-    # labels no other test uses, so no earlier analysis of an equal datum is remembered
-    datum = make_datum([(4, 1, "count-a"), (6, 2, "count-b")], [[0, 5], [5, 0]])
+    datum = make_datum([(4, 1), (6, 2)], [[0, 5], [5, 0]])
     report = build_analysis(datum)
     assert report["beta"] is not None and report["vertical"]
     assert len(builds) == 1
@@ -172,9 +175,33 @@ def test_build_analysis_builds_one_graph_and_validates_once(monkeypatch):
     assert len(closed_forms) == 1
 
 
+def test_one_graph_per_datum_object(monkeypatch):
+    builds = _count_calls(monkeypatch, milnor_lab.fibre, "build_fibre_graph")
+    datum = make_datum([(4, 1), (6, 2)], [[0, 5], [5, 0]])
+    fibre_summary(datum)
+    component_monodromy(datum)
+    beta(datum)
+    boundary2_components(datum)
+    classify_xr(datum)
+    build_analysis(datum)
+    assert builds == [datum]
+
+    # the graph is kept on the object, not by value
+    twin = make_datum([(4, 1), (6, 2)], [[0, 5], [5, 0]])
+    assert twin == datum
+    assert build_analysis(twin) == build_analysis(datum)
+    assert len(builds) == 2 and builds[1] is twin
+
+
+def test_datum_with_list_rows_analyses():
+    datum = EquisingularDatum((Branch(2, 1), Branch(3, 0)), [[0, 2], [2, 0]])
+    expected = make_datum([(2, 1), (3, 0)], [[0, 2], [2, 0]])
+    assert build_analysis(datum) == build_analysis(expected)
+
+
 def test_check_datum_runs_the_closed_form_once(monkeypatch):
     closed_forms = _count_calls(monkeypatch, milnor_lab.fibre, "euler_characteristic_closed")
-    datum = make_datum([(4, 1, "sweep-a"), (6, 2, "sweep-b")], [[0, 5], [5, 0]])
+    datum = make_datum([(4, 1), (6, 2)], [[0, 5], [5, 0]])
     assert milnor_lab.sweep.check_datum(datum, milnor_lab.sweep.DEFAULT_PROPERTIES) == []
     assert len(closed_forms) == 1
 
@@ -217,10 +244,10 @@ def test_check_datum_property_alone_matches_full_suite():
 
 def test_check_datum_reads_beta_once_per_singular_datum(monkeypatch):
     calls = _count_calls(monkeypatch, milnor_lab.sweep, "beta")
-    reduced = make_datum([(1, 2, "beta-a"), (1, 0, "beta-b")], [[0, 3], [3, 0]])
+    reduced = make_datum([(1, 2), (1, 0)], [[0, 3], [3, 0]])
     assert milnor_lab.sweep.check_datum(reduced, milnor_lab.sweep.DEFAULT_PROPERTIES) == []
     assert calls == []
-    singular = make_datum([(4, 1, "beta-c"), (6, 2, "beta-d")], [[0, 5], [5, 0]])
+    singular = make_datum([(4, 1), (6, 2)], [[0, 5], [5, 0]])
     assert milnor_lab.sweep.check_datum(singular, milnor_lab.sweep.DEFAULT_PROPERTIES) == []
     assert calls == [singular]
 
