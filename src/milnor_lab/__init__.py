@@ -50,7 +50,6 @@ from .invariants import (
     ReducedDatumError,
     TransversalData,
     UpperBoundVerdict,
-    VerticalMonodromy,
     XrVerdict,
     beta,
     boundary2_components,
@@ -101,7 +100,6 @@ __all__ = [
     "ReducedDatumError",
     "TransversalData",
     "UpperBoundVerdict",
-    "VerticalMonodromy",
     "XrVerdict",
     "beta",
     "boundary2_components",

@@ -59,6 +59,10 @@ class EquisingularDatum:
         """What ``validate`` reports, computed once per datum object."""
         return tuple(validate(self))
 
+    def __getstate__(self):
+        # a datum pickles as its two fields, not the graph or checks kept on it
+        return {"branches": self.branches, "intersections": self.intersections}
+
 
 @dataclass(frozen=True)
 class QuasiHomBranchSpec:

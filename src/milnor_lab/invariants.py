@@ -36,10 +36,15 @@ class TransversalData:
 
 
 @dataclass(frozen=True)
-class VerticalMonodromy:
-    branch: int
-    shift: int   # k_i: sheet a goes to sheet (a + k_i) mod m_i
-    m: int
+class UpperBoundVerdict:
+    # The report's "upper_bound" section is asdict() of this: field order is key order.
+    hypothesis: bool
+    cokernels_free: bool | None
+    shifts_identity: bool | None
+    conclusion_holds: bool | None
+
+
+_NOT_ATTAINED = UpperBoundVerdict(False, None, None, None)
 
 
 @dataclass(frozen=True)
@@ -53,11 +58,17 @@ class BetaReport:
     c2_chi_form: bool
     c3_homology_form: bool
     verdict_bobadilla: bool
+    bound_attained: bool  # the upper-bound hypothesis: b_0(F) - 1 = sum of the mu_perp
 
-    @property
-    def bound_attained(self) -> bool:
-        """The upper-bound hypothesis: b_0(F) - 1 = sum of the mu_perp."""
-        return self.b0 - 1 == self.total_transversal_points - self.singular_branch_count
+    def upper_bound(self, boundary) -> UpperBoundVerdict:
+        """When rank H_0(F) attains its bound, every cokernel of A_i - I must
+        be free and every shift k_i must vanish mod m_i.  ``boundary`` returns
+        the datum's Boundary2Report and is called only where the bound holds."""
+        if not self.bound_attained:
+            return _NOT_ATTAINED  # the hypothesis fails: no boundary to build
+        # every cokernel is free: boundary2_components raises on any torsion
+        identity = all(e.shift == 0 for e in boundary().branches)
+        return UpperBoundVerdict(True, True, identity, identity)
 
 
 @dataclass(frozen=True)
@@ -70,21 +81,8 @@ class Boundary2Branch:
 
 
 @dataclass(frozen=True)
-class UpperBoundVerdict:
-    # The report's "upper_bound" section is asdict() of this: field order is key order.
-    hypothesis: bool
-    cokernels_free: bool | None
-    shifts_identity: bool | None
-    conclusion_holds: bool | None
-
-
-_NOT_ATTAINED = UpperBoundVerdict(False, None, None, None)
-
-
-@dataclass(frozen=True)
 class Boundary2Report:
     branches: tuple[Boundary2Branch, ...]
-    upper_bound: UpperBoundVerdict
 
 
 @dataclass(frozen=True)
@@ -127,9 +125,10 @@ def beta(datum: EquisingularDatum) -> BetaReport:
     summary = fibre_summary(datum)
     value = summary.b1 - summary.d + trans.total_points
     mu_perp_sum = sum(e.mu_perp for e in trans.branches)
+    attained = summary.d - 1 == mu_perp_sum
     c1 = value == 0
     c2 = summary.chi == 1 - mu_perp_sum
-    c3 = summary.b1 == 0 and summary.d - 1 == mu_perp_sum
+    c3 = summary.b1 == 0 and attained
     verdict = is_power_of_smooth(datum)
     return BetaReport(
         beta=value,
@@ -141,11 +140,12 @@ def beta(datum: EquisingularDatum) -> BetaReport:
         c2_chi_form=c2,
         c3_homology_form=c3,
         verdict_bobadilla=verdict,
+        bound_attained=attained,
     )
 
 
-def vertical_shift(datum: EquisingularDatum, i: int) -> VerticalMonodromy:
-    """Monodromy of the m_i transversal points along branch i.
+def vertical_shift(datum: EquisingularDatum, i: int) -> int:
+    """The shift k_i of the m_i transversal points along branch i.
 
     Moving the transversal slice once around branch i, the sheets are the
     m_i-th roots of eps divided by the product of the other branches'
@@ -164,16 +164,15 @@ def vertical_shift(datum: EquisingularDatum, i: int) -> VerticalMonodromy:
         datum.branches[j].multiplicity * datum.intersections[i][j]
         for j in range(datum.r) if j != i
     )
-    return VerticalMonodromy(i, winding % m, m)
+    return winding % m
 
 
-def shift_minus_identity(mono: VerticalMonodromy) -> SparseColumns:
-    """A_i - I, whose cokernel counts the orbits of the vertical shift.
+def shift_minus_identity(m: int, k: int) -> SparseColumns:
+    """A - I for the shift a -> a + k of m sheets; its cokernel counts the orbits.
 
     Column a is e_{(a+k) mod m} - e_a, read off the permutation itself and
     not from its orbits, so the cokernel route stays independent of gcd.
     """
-    m, k = mono.m, mono.shift
     return SparseColumns(m, tuple(
         {} if (a + k) % m == a else {(a + k) % m: 1, a: -1} for a in range(m)
     ))
@@ -187,26 +186,19 @@ def boundary2_components(datum: EquisingularDatum) -> Boundary2Report:
     torsion.  chain_ok additionally checks, on the fibre graph, that the
     residue classes of branch-i sheets mod gcd(m_i, k_i) map consistently
     onto the fibre components, so the composed boundary map is onto.
-
-    The upper-bound verdict reads the same entries.  Hypothesis (reduced
-    reading): b_0(F) - 1 equals the sum of the transversal Milnor numbers.
-    Under it, the per-branch cokernels must be free and every shift k_i
-    must vanish mod m_i.
     """
     graph = analyse(datum)  # validates the datum
     sing = singular_branches(datum)
     if not sing:
         raise ReducedDatumError("boundary components undefined: isolated singularity")
-    labels, n_components = graph.labels, graph.d
+    labels, n_components = graph.labels, graph.summary.d  # the summary checks chi and d
 
     entries = []
-    mu_perp_sum = 0
     for i in sing:
         off, m = graph.shift_cycles[i]  # the sheets of branch i
-        mu_perp_sum += m - 1
-        mono = vertical_shift(datum, i)
-        g = gcd(m, mono.shift)
-        pres = cokernel(shift_minus_identity(mono))
+        k = vertical_shift(datum, i)
+        g = gcd(m, k)
+        pres = cokernel(shift_minus_identity(m, k))
         if pres.free_rank != g or pres.torsion:
             raise InternalInconsistencyError(
                 f"branch {i + 1}: cokernel route gives Z^{pres.free_rank} "
@@ -218,19 +210,14 @@ def boundary2_components(datum: EquisingularDatum) -> Boundary2Report:
             and all(comps[a] == comps[a % g] for a in range(g, m))
             and set(comps[:g]) == set(range(n_components))
         )
-        entries.append(Boundary2Branch(i, mono.shift, g, pres, chain_ok))
-    if graph.summary.d - 1 != mu_perp_sum:
-        return Boundary2Report(tuple(entries), _NOT_ATTAINED)
-    # every cokernel is free: the loop above raises on any torsion
-    identity = all(e.shift == 0 for e in entries)
-    return Boundary2Report(tuple(entries), UpperBoundVerdict(True, True, identity, identity))
+        entries.append(Boundary2Branch(i, k, g, pres, chain_ok))
+    return Boundary2Report(tuple(entries))
 
 
 def check_upper_bound(datum: EquisingularDatum) -> UpperBoundVerdict:
-    """When rank H_0(F) attains its bound, the vertical monodromies must be trivial."""
-    if not beta(datum).bound_attained:  # builds no boundary
-        return _NOT_ATTAINED
-    return boundary2_components(datum).upper_bound
+    """The upper-bound verdict of a singular datum; builds its boundary only
+    where the hypothesis holds."""
+    return beta(datum).upper_bound(lambda: boundary2_components(datum))
 
 
 def classify_xr(datum: EquisingularDatum) -> XrVerdict:

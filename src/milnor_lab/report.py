@@ -70,7 +70,7 @@ def build_analysis(datum: EquisingularDatum) -> dict:
             }
             for e in b2.branches
         ]
-        upper_bound = asdict(b2.upper_bound)
+        upper_bound = asdict(beta_rep.upper_bound(lambda: b2))
     else:
         beta_section = None
         vertical = []

@@ -169,10 +169,8 @@ def _prop_coker_rank(graph, rep, boundary):
 
 
 def _prop_upper_bound(graph, rep, boundary):
-    if not rep.bound_attained:
-        return []  # the hypothesis fails: no boundary to build
-    verdict = boundary().upper_bound
-    if not verdict.conclusion_holds:
+    verdict = rep.upper_bound(boundary)
+    if verdict.hypothesis and not verdict.conclusion_holds:
         return [(
             "rank bound attained forces identity vertical monodromies",
             f"cokernels_free = {verdict.cokernels_free}, "

@@ -1,10 +1,12 @@
-"""Test-only oracles: plain restatements that the package itself never needs."""
+"""Test-only oracles: plain restatements that the package itself never needs,
+and the comparisons of the package against them."""
 
 import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from milnor_lab import IntMatrix
+from milnor_lab import IntMatrix, boundary2_components, vertical_shift
+from milnor_lab.fibre import analyse
 
 
 def canonical_key(datum):
@@ -95,9 +97,8 @@ def determinant(matrix: IntMatrix) -> int:
     return sign * work[n - 1][n - 1]
 
 
-def permutation_matrix(mono) -> IntMatrix:
+def permutation_matrix(m, k) -> IntMatrix:
     """The m x m matrix of a vertical monodromy: sheet a goes to (a + k) mod m."""
-    m, k = mono.m, mono.shift
     return int_matrix(
         [1 if b == (a + k) % m else 0 for a in range(m)] for b in range(m)
     )
@@ -133,3 +134,76 @@ def expand_fibre_graph(datum):
             edges.extend((offsets[j] + a, av) for a in range(c, m[j], g))
         vertex += g
     return vertex, edges, gadgets
+
+
+def brute_roots(vertex_count, edges):
+    """Independent union-find, kept separate from the package's: a root per vertex."""
+    parent = list(range(vertex_count))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[rv] = ru
+    return [find(v) for v in range(vertex_count)]
+
+
+def cycle_type_on_roots(roots, sigma):
+    """Cycle type of the permutation sigma induces on the union-find roots."""
+    image = {}
+    for v, root in enumerate(roots):
+        image[root] = roots[sigma[v]]
+    seen, lengths = set(), []
+    for start in image:
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x = image[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def assert_matches_full_expansion(datum):
+    """The collapsed graph against the full expansion: d, V - E, the cycle
+    type of the sheet shift on components, and chain_ok per singular branch."""
+    vertex_count, edges, gadgets = expand_fibre_graph(datum)
+    roots = brute_roots(vertex_count, edges)
+    d = len(set(roots))
+    graph = analyse(datum)
+    assert (graph.vertex_count, graph.edge_count) == (vertex_count, len(edges))
+    assert graph.chi == vertex_count - len(edges)
+    assert graph.d == d == len(set(brute_roots(graph.size, graph.edges)))
+
+    m = datum.multiplicities
+    sigma = list(range(vertex_count))
+    off = 0
+    for mi in m:
+        for a in range(mi):
+            sigma[off + a] = off + (a + 1) % mi
+        off += mi
+    for _, _, g, base in gadgets:
+        for c in range(g):
+            sigma[base + c] = base + (c + 1) % g
+    assert graph.monodromy.cycle_type == cycle_type_on_roots(roots, sigma)
+
+    singular = [i for i, mi in enumerate(m) if mi >= 2]
+    if not singular:
+        return
+    chain_ok = []
+    for i in singular:
+        g = gcd(m[i], vertical_shift(datum, i))
+        hit = [set() for _ in range(g)]
+        for a in range(m[i]):
+            hit[a % g].add(roots[sum(m[:i]) + a])
+        chain_ok.append((i, g % d == 0
+                         and all(len(h) == 1 for h in hit)
+                         and set().union(*hit) == set(roots)))
+    got = [(e.branch, e.chain_ok) for e in boundary2_components(datum).branches]
+    assert got == chain_ok

@@ -15,6 +15,7 @@ from milnor_lab import (
     UpperBoundVerdict,
     beta,
     boundary2_components,
+    check_upper_bound,
     from_monomial,
     make_datum,
 )
@@ -59,12 +60,6 @@ def _first_branch(**change):
     return brk
 
 
-def _verdict(**change):
-    def brk(graph, rep, report):
-        return graph, rep, replace(report, upper_bound=replace(report.upper_bound, **change))
-    return brk
-
-
 # property, datum, break, the (expected, got, documented) triples it must report
 BREAKS = [
     ("lemma-d-gcd", _m46, _no_edges, [("b0 = gcd(m_i) = 2", "b0 = 12", False)]),
@@ -92,7 +87,7 @@ BREAKS = [
      [("branch 1: d | gcd(m, k)", "d = 2, gcd = 3", False)]),
     ("coker-rank", _m46, _first_branch(chain_ok=False),
      [("branch 1: boundary components map onto fibre components", "chain_ok = False", False)]),
-    ("upper-bound", _x6, _verdict(shifts_identity=False, conclusion_holds=False),
+    ("upper-bound", _x6, _first_branch(shift=1),
      [("rank bound attained forces identity vertical monodromies",
        "cokernels_free = True, shifts_identity = False", False)]),
     ("prop2-chi-form", _m46, _rep(c1_beta_zero=True),
@@ -168,11 +163,9 @@ def test_chain_ok_sees_sheets_that_miss_a_component(monkeypatch):
 
 def test_upper_bound_verdict_reads_the_shifts(monkeypatch):
     # x^4 attains the bound, so a vertical shift of 1 must break the verdict
-    real = milnor_lab.invariants.vertical_shift
-    monkeypatch.setattr(milnor_lab.invariants, "vertical_shift",
-                        lambda datum, i: replace(real(datum, i), shift=1))
+    monkeypatch.setattr(milnor_lab.invariants, "vertical_shift", lambda datum, i: 1)
     datum = make_datum([(4, 0)], [[0]])
-    assert boundary2_components(datum).upper_bound == UpperBoundVerdict(True, True, False, False)
+    assert check_upper_bound(datum) == UpperBoundVerdict(True, True, False, False)
     violations = check_datum(datum, ("upper-bound",))
     assert [(v.prop, v.got) for v in violations] == [
         ("upper-bound", "cokernels_free = True, shifts_identity = False"),

@@ -1,5 +1,6 @@
 """Fibre graph model: structure, two-route invariants, monodromy."""
 
+import pickle
 import random
 from math import gcd
 
@@ -27,32 +28,14 @@ from milnor_lab import (
     from_monomial,
     from_quasihomogeneous,
     make_datum,
-    vertical_shift,
 )
 from milnor_lab.fibre import analyse
 
-from oracles import expand_fibre_graph
-
-
-def _brute_roots(vertex_count, edges):
-    """Independent union-find, kept separate from the package's: a root per vertex."""
-    parent = list(range(vertex_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[rv] = ru
-    return [find(v) for v in range(vertex_count)]
+from oracles import assert_matches_full_expansion, brute_roots, expand_fibre_graph
 
 
 def _brute_components(vertex_count, edges):
-    return len(set(_brute_roots(vertex_count, edges)))
+    return len(set(brute_roots(vertex_count, edges)))
 
 
 def test_graph_monomial_2_2():
@@ -199,6 +182,18 @@ def test_datum_with_list_rows_analyses():
     assert build_analysis(datum) == build_analysis(expected)
 
 
+def test_checked_datum_pickles_as_its_two_fields():
+    # a Violation from a worker carries its datum back to the parent; the
+    # graph and checks kept on the datum stay behind
+    datum = make_datum([(4, 1), (6, 2)], [[0, 5], [5, 0]])
+    assert milnor_lab.sweep.check_datum(datum, milnor_lab.sweep.ALL_PROPERTIES) == []
+    assert {"_fibre_graph", "violations"} <= set(vars(datum))
+    copy = pickle.loads(pickle.dumps(datum))
+    assert sorted(vars(copy)) == ["branches", "intersections"]
+    assert copy == datum
+    assert build_analysis(copy) == build_analysis(datum)
+
+
 def test_check_datum_runs_the_closed_form_once(monkeypatch):
     closed_forms = _count_calls(monkeypatch, milnor_lab.fibre, "euler_characteristic_closed")
     datum = make_datum([(4, 1), (6, 2)], [[0, 5], [5, 0]])
@@ -302,65 +297,9 @@ def test_structural_invariants_over_corpus():
         assert (summary.d, summary.b1, summary.chi) == (dd * rs.d, dd * rs.b1, dd * rs.chi)
 
 
-def _cycle_type_on_roots(roots, sigma):
-    """Cycle type of the permutation sigma induces on the union-find roots."""
-    image = {}
-    for v, root in enumerate(roots):
-        image[root] = roots[sigma[v]]
-    seen, lengths = set(), []
-    for start in image:
-        length, x = 0, start
-        while x not in seen:
-            seen.add(x)
-            x = image[x]
-            length += 1
-        if length:
-            lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
-
-def _assert_matches_full_expansion(datum):
-    """The collapsed graph against the full expansion: d, V - E, the cycle
-    type of the sheet shift on components, and chain_ok per singular branch."""
-    vertex_count, edges, gadgets = expand_fibre_graph(datum)
-    roots = _brute_roots(vertex_count, edges)
-    d = len(set(roots))
-    graph = analyse(datum)
-    assert (graph.vertex_count, graph.edge_count) == (vertex_count, len(edges))
-    assert graph.chi == vertex_count - len(edges)
-    assert graph.d == d == _brute_components(graph.size, graph.edges)
-
-    m = datum.multiplicities
-    sigma = list(range(vertex_count))
-    off = 0
-    for mi in m:
-        for a in range(mi):
-            sigma[off + a] = off + (a + 1) % mi
-        off += mi
-    for _, _, g, base in gadgets:
-        for c in range(g):
-            sigma[base + c] = base + (c + 1) % g
-    assert graph.monodromy.cycle_type == _cycle_type_on_roots(roots, sigma)
-
-    singular = [i for i, mi in enumerate(m) if mi >= 2]
-    if not singular:
-        return
-    chain_ok = []
-    for i in singular:
-        g = gcd(m[i], vertical_shift(datum, i).shift)
-        hit = [set() for _ in range(g)]
-        for a in range(m[i]):
-            hit[a % g].add(roots[sum(m[:i]) + a])
-        chain_ok.append((i, g % d == 0
-                         and all(len(h) == 1 for h in hit)
-                         and set().union(*hit) == set(roots)))
-    got = [(e.branch, e.chain_ok) for e in boundary2_components(datum).branches]
-    assert got == chain_ok
-
-
 def test_collapsed_graph_matches_full_expansion_over_corpus():
     for datum in enumerate_corpus(CorpusBounds(3, 4, 3, 3)):
-        _assert_matches_full_expansion(datum)
+        assert_matches_full_expansion(datum)
 
 
 def _coprime_pair(rng):
@@ -383,7 +322,7 @@ def _wide_network(rng):
 def test_collapsed_graph_matches_full_expansion_on_wide_networks(seed):
     rng = random.Random(seed)
     for _ in range(50):
-        _assert_matches_full_expansion(_wide_network(rng))
+        assert_matches_full_expansion(_wide_network(rng))
 
 
 def test_graph_size_ignores_copies():

@@ -58,7 +58,7 @@ MUTANTS = {
     ),
     "upper-bound-ignores-shifts": (
         "src/milnor_lab/invariants.py",
-        "identity = all(e.shift == 0 for e in entries)",
+        "identity = all(e.shift == 0 for e in boundary().branches)",
         "identity = True",
     ),
     "coker-rank-drops-d-divides-gcd": (
@@ -72,14 +72,19 @@ MUTANTS = {
         "if False:",
     ),
     "upper-bound-no-early-return": (
-        "src/milnor_lab/sweep.py",
-        "return []  # the hypothesis fails: no boundary to build",
+        "src/milnor_lab/invariants.py",
+        "return _NOT_ATTAINED  # the hypothesis fails: no boundary to build",
         "pass",
     ),
     "lemma-d-gcd-builds-boundary": (
         "src/milnor_lab/sweep.py",
         "expected = gcd(*graph.datum.multiplicities)",
         "expected = gcd(*graph.datum.multiplicities) if rep is None or boundary() else 0",
+    ),
+    "graph-drops-copies-weight": (
+        "src/milnor_lab/fibre.py",
+        "edge_count += node.copies * (len(edges) - first)",
+        "edge_count += len(edges) - first",
     ),
 }
 
