@@ -7,10 +7,11 @@ and compare each end-to-end metric.
 Both commits are exported with ``git archive`` into temporary directories,
 so the checkout is not written to.  Pair i runs
 ``perfbench/run.py --workload W --seed <first seed + i> --seconds S --trace 0``
-once on each side, and the side that runs first alternates from pair to
-pair, so a drift in machine speed falls on both sides alike.  For each
-end-to-end metric of ``BENCHMARK.json`` the table gives each side's median
-and interquartile range, how many pairs the head side won (ties count for
+once on each side, S being ``run_seconds`` of ``BENCHMARK.json``, and the
+side that runs first alternates from pair to pair, so a drift in machine
+speed falls on both sides alike.  For each end-to-end metric of
+``BENCHMARK.json`` the table gives each side's median and quartiles
+[q1, q3], how many pairs the head side won (ties count for
 neither), and the median of the paired ratios head/base with a 95%
 bootstrap interval.  The verdict is ``worse`` when the head median is
 worse than the base median by more than the metric's bound, ``unresolved``
@@ -56,11 +57,6 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def quartiles(values):
-    q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-    return q1, q2, q3
-
-
 def bootstrap_median(ratios, rng, reps=2000):
     """95% percentile interval of the median of ``ratios``, resampled."""
     medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
@@ -70,23 +66,22 @@ def bootstrap_median(ratios, rng, reps=2000):
 
 def compare(metric: dict, base: list[float], head: list[float], rng) -> str:
     lower = metric["better"] == "lower"
-    b1, bm, b3 = quartiles(base)
-    h1, hm, h3 = quartiles(head)
+    b1, bm, b3 = statistics.quantiles(base, n=4)
+    h1, hm, h3 = statistics.quantiles(head, n=4)
     wins = sum((h < b) if lower else (h > b) for b, h in zip(base, head))
-    ratios = [h / b for b, h in zip(base, head) if b]
-    lo, hi = bootstrap_median(ratios, rng) if ratios else (float("nan"),) * 2
-    ratio = statistics.median(ratios) if ratios else float("nan")
+    ratios = [h / b for b, h in zip(base, head)]
+    lo, hi = bootstrap_median(ratios, rng)
     bound = metric["bound"]
-    change = (hm - bm) / bm if bm else 0.0
+    change = (hm - bm) / bm
     if (change if lower else -change) > bound:
         verdict = "worse"
-    elif bm and max(b3 - b1, h3 - h1) > bound * abs(bm):
+    elif max(b3 - b1, h3 - h1) > bound * bm:
         verdict = "unresolved"
     else:
         verdict = "ok"
     return (f"{metric['name']:22s} {bm:10.4g} [{b1:.4g}, {b3:.4g}]  "
             f"{hm:10.4g} [{h1:.4g}, {h3:.4g}]  {wins:2d}/{len(base):<2d}  "
-            f"{ratio:.4f} [{lo:.4f}, {hi:.4f}]  {verdict}")
+            f"{statistics.median(ratios):.4f} [{lo:.4f}, {hi:.4f}]  {verdict}")
 
 
 def main(argv=None) -> int:
@@ -96,11 +91,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    if args.pairs < 2:
+        parser.error("--pairs must be >= 2")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
     with tempfile.TemporaryDirectory(prefix="milnor-ab-") as tmp:
         sides = {"base": Path(tmp) / "base", "head": Path(tmp) / "head"}
@@ -111,21 +105,20 @@ def main(argv=None) -> int:
             seed = args.first_seed + i
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for side in order:
-                runs[side].append(run_once(sides[side], args.workload, seed, args.seconds))
+                runs[side].append(
+                    run_once(sides[side], args.workload, seed, benchmark["run_seconds"]))
             print(f"pair {i + 1}/{args.pairs} (seed {seed}, {order[0]} first) done",
                   file=sys.stderr)
 
     rng = random.Random(0)
     print(f"{args.workload}: base {args.base}, head {args.head}, {args.pairs} pairs, "
           f"seeds {args.first_seed}-{args.first_seed + args.pairs - 1}")
-    print(f"{'metric':22s} {'base median [IQR]':>26s}  {'head median [IQR]':>26s}  "
+    print(f"{'metric':22s} {'base median [q1, q3]':>26s}  {'head median [q1, q3]':>26s}  "
           f"wins   head/base [95% CI]  verdict")
-    for metric in metrics:
+    for metric in benchmark["end_to_end"]:
         name = metric["name"]
-        base = [r[name] for r in runs["base"] if name in r]
-        head = [r[name] for r in runs["head"] if name in r]
-        if len(base) == len(head) == args.pairs:
-            print(compare(metric, base, head, rng))
+        print(compare(metric, [r[name] for r in runs["base"]],
+                      [r[name] for r in runs["head"]], rng))
     return 0
 
 
