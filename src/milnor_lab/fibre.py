@@ -31,7 +31,7 @@ from it only while the monodromy is checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 
@@ -49,8 +49,11 @@ class FibreGraph:
     shift_cycles: tuple[tuple[int, int], ...]  # (first vertex, length): branches, then nodes
     edges: tuple[tuple[int, int], ...]  # built edges, loops included, endpoints sorted
     size: int  # built vertices: the sheets, then the annuli of each node
+    node_edges: tuple[int, ...]  # built edges of each node
     vertex_count: int  # vertices of the full expansion, every copy counted
     edge_count: int  # edges of the full expansion, every copy counted
+    # a sweep's first graph of this shape, whose labels, d and monodromy this one reads
+    template: FibreGraph | None = field(default=None, repr=False, compare=False)
 
     def component_labels(self) -> list[int]:
         """Component id per built vertex, numbered by first appearance."""
@@ -81,11 +84,11 @@ class FibreGraph:
 
     @cached_property
     def labels(self) -> list[int]:
-        return self.component_labels()
+        return self.component_labels() if self.template is None else self.template.labels
 
     @cached_property
     def d(self) -> int:
-        return max(self.labels) + 1
+        return max(self.labels) + 1 if self.template is None else self.template.d
 
     @property
     def chi(self) -> int:
@@ -114,6 +117,8 @@ class FibreGraph:
     @cached_property
     def monodromy(self) -> ComponentMonodromy:
         """Permutation of the components induced by the sheet shift."""
+        if self.template is not None:
+            return self.template.monodromy
         labels = self.labels
         sigma = []
         for first, length in self.shift_cycles:
@@ -170,8 +175,7 @@ def build_fibre_graph(datum: EquisingularDatum) -> FibreGraph:
 
     network = tuple(build_network(datum))
     edges = []
-    vertex_count = vertex
-    edge_count = 0
+    node_edges = []
     for node in network:
         off_p = cycles[node.i][0]
         off_q = cycles[node.i if node.j is None else node.j][0]
@@ -186,11 +190,19 @@ def build_fibre_graph(datum: EquisingularDatum) -> FibreGraph:
             for a in range(c, node.q, g):
                 edges.append((off_q + a, av))
         vertex += g
+        node_edges.append(len(edges) - first)
+    return _weighed(datum, network, tuple(cycles), tuple(edges), vertex, tuple(node_edges))
+
+
+def _weighed(datum, network, cycles, edges, size, node_edges, template=None) -> FibreGraph:
+    """The datum's graph on built edges, each node's annuli and edges counted per copy."""
+    vertex_count = sum(m for _, m in cycles[:datum.r])
+    edge_count = 0
+    for node, (_, g), built in zip(network, cycles[datum.r:], node_edges):
         vertex_count += node.copies * g
-        edge_count += node.copies * (len(edges) - first)
-    return FibreGraph(
-        datum, network, tuple(cycles), tuple(edges), vertex, vertex_count, edge_count,
-    )
+        edge_count += node.copies * built
+    return FibreGraph(datum, network, cycles, edges, size, node_edges,
+                      vertex_count, edge_count, template)
 
 
 def euler_characteristic_closed(datum: EquisingularDatum) -> int:
@@ -207,13 +219,28 @@ def euler_characteristic_closed(datum: EquisingularDatum) -> int:
     return total
 
 
-def analyse(datum: EquisingularDatum) -> FibreGraph:
+def memoized(memo: dict | None, key, make):
+    """``make()`` once per ``key`` of ``memo``, or on every call with no memo."""
+    if memo is None:
+        return make()
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
+
+
+def analyse(datum: EquisingularDatum, memo: dict | None = None) -> FibreGraph:
     """The fibre graph of a datum, validated first and kept per datum object,
     in its ``__dict__`` as ``cached_property`` keeps ``violations``: the calls
-    on one object share one graph, and the graph lives no longer than it."""
+    on one object share one graph, and the graph lives no longer than it.
+    With a sweep's ``memo``, a datum whose shape ``((m_i, delta_i >= 1), ...)``
+    was built before gets its own network, V and E on that graph's edges, and
+    reads its labels, d and monodromy: one union-find and shift check per shape."""
     kept = vars(require_valid(datum))
     if "_fibre_graph" not in kept:
-        kept["_fibre_graph"] = build_fibre_graph(datum)
+        shape = tuple((b.multiplicity, b.delta >= 1) for b in datum.branches)
+        t = memoized(memo, shape, lambda: build_fibre_graph(datum))
+        kept["_fibre_graph"] = t if t.datum is datum else _weighed(
+            datum, tuple(build_network(datum)), t.shift_cycles, t.edges, t.size, t.node_edges, t)
     return kept["_fibre_graph"]
 
 

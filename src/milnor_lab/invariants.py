@@ -13,7 +13,7 @@ from math import gcd
 
 from .datum import EquisingularDatum, require_valid
 from .errors import InternalInconsistencyError, MilnorLabError
-from .fibre import analyse, fibre_summary
+from .fibre import analyse, fibre_summary, memoized
 from .intlinalg import CokernelPresentation, SparseColumns, cokernel
 from .network import double_point_count
 
@@ -178,7 +178,7 @@ def shift_minus_identity(m: int, k: int) -> SparseColumns:
     ))
 
 
-def boundary2_components(datum: EquisingularDatum) -> Boundary2Report:
+def boundary2_components(datum: EquisingularDatum, memo: dict | None = None) -> Boundary2Report:
     """Components of the fibre boundary over the singular set, per branch.
 
     Two routes per branch: gcd(m_i, k_i) directly, and the cokernel of
@@ -186,8 +186,9 @@ def boundary2_components(datum: EquisingularDatum) -> Boundary2Report:
     torsion.  chain_ok additionally checks, on the fibre graph, that the
     residue classes of branch-i sheets mod gcd(m_i, k_i) map consistently
     onto the fibre components, so the composed boundary map is onto.
+    A sweep's ``memo`` reduces each distinct ``(m_i, k_i)`` once.
     """
-    graph = analyse(datum)  # validates the datum
+    graph = analyse(datum, memo)  # validates the datum
     sing = singular_branches(datum)
     if not sing:
         raise ReducedDatumError("boundary components undefined: isolated singularity")
@@ -198,7 +199,7 @@ def boundary2_components(datum: EquisingularDatum) -> Boundary2Report:
         off, m = graph.shift_cycles[i]  # the sheets of branch i
         k = vertical_shift(datum, i)
         g = gcd(m, k)
-        pres = cokernel(shift_minus_identity(m, k))
+        pres = memoized(memo, (m, k), lambda: cokernel(shift_minus_identity(m, k)))
         if pres.free_rank != g or pres.torsion:
             raise InternalInconsistencyError(
                 f"branch {i + 1}: cokernel route gives Z^{pres.free_rank} "

@@ -47,25 +47,25 @@ class SweepResult:
 
 
 # --- property checks -------------------------------------------------------
-# each takes the datum's FibreGraph, its beta report (None without a singular set)
-# and `boundary`, which builds its Boundary2Report on the first call (only
-# coker-rank and upper-bound call it), and returns (expected, got, documented) triples
+# each takes the datum's FibreGraph, its beta report (None without a singular set),
+# `boundary`, which builds its Boundary2Report on the first call (only coker-rank and
+# upper-bound call it), and the sweep's memo; returns (expected, got, documented) triples
 
-def _prop_lemma_d_gcd(graph, rep, boundary):
+def _prop_lemma_d_gcd(graph, rep, boundary, memo):
     expected = gcd(*graph.datum.multiplicities)
     if graph.d != expected:
         return [(f"b0 = gcd(m_i) = {expected}", f"b0 = {graph.d}", False)]
     return []
 
 
-def _prop_two_route_chi(graph, rep, boundary):
+def _prop_two_route_chi(graph, rep, boundary, memo):
     closed = euler_characteristic_closed(graph.datum)
     if graph.chi != closed:
         return [(f"V - E = closed form = {closed}", f"V - E = {graph.chi}", False)]
     return []
 
 
-def _prop_mu_reduced(graph, rep, boundary):
+def _prop_mu_reduced(graph, rep, boundary, memo):
     if rep is not None:  # some m_i >= 2: not a reduced curve
         return []
     expected = mu_reduced(graph.datum)
@@ -74,9 +74,9 @@ def _prop_mu_reduced(graph, rep, boundary):
     return []
 
 
-def _prop_divide_by_gcd(graph, rep, boundary):
+def _prop_divide_by_gcd(graph, rep, boundary, memo):
     d, reduced = divide_by_gcd(graph.datum)
-    rgraph = analyse(reduced)
+    rgraph = analyse(reduced, memo)
     out = []
     triple = (graph.d, graph.b1, graph.chi)
     scaled = tuple(d * x for x in (rgraph.d, rgraph.b1, rgraph.chi))
@@ -87,14 +87,14 @@ def _prop_divide_by_gcd(graph, rep, boundary):
     return out
 
 
-def _prop_monodromy_cycle(graph, rep, boundary):
+def _prop_monodromy_cycle(graph, rep, boundary, memo):
     mono = component_monodromy(graph.datum)
     if mono.cycle_type != (graph.d,):
         return [(f"cycle type [{graph.d}]", f"{list(mono.cycle_type)}", False)]
     return []
 
 
-def _prop_b1_zero_iff_xr(graph, rep, boundary):
+def _prop_b1_zero_iff_xr(graph, rep, boundary, memo):
     datum = graph.datum
     if is_power_of_smooth(datum) != (graph.b1 == 0):
         return [(
@@ -105,13 +105,13 @@ def _prop_b1_zero_iff_xr(graph, rep, boundary):
     return []
 
 
-def _prop_beta_nonneg(graph, rep, boundary):
+def _prop_beta_nonneg(graph, rep, boundary, memo):
     if rep.beta < 0:
         return [("beta >= 0", f"beta = {rep.beta}", False)]
     return []
 
 
-def _prop_corollary_beta0(graph, rep, boundary):
+def _prop_corollary_beta0(graph, rep, boundary, memo):
     if rep.c1_beta_zero != rep.verdict_bobadilla:
         return [(
             "beta = 0 exactly for a power of a smooth branch",
@@ -121,7 +121,7 @@ def _prop_corollary_beta0(graph, rep, boundary):
     return []
 
 
-def _prop_c1_iff_c3(graph, rep, boundary):
+def _prop_c1_iff_c3(graph, rep, boundary, memo):
     if rep.c1_beta_zero != rep.c3_homology_form:
         return [(
             "C1 (beta = 0) equivalent to C3 (b1 = 0 and b0 - 1 = sum mu_perp)",
@@ -131,7 +131,7 @@ def _prop_c1_iff_c3(graph, rep, boundary):
     return []
 
 
-def _prop_coker_rank(graph, rep, boundary):
+def _prop_coker_rank(graph, rep, boundary, memo):
     out = []
     d = graph.d
     for entry in boundary().branches:
@@ -168,7 +168,7 @@ def _prop_coker_rank(graph, rep, boundary):
     return out
 
 
-def _prop_upper_bound(graph, rep, boundary):
+def _prop_upper_bound(graph, rep, boundary, memo):
     verdict = rep.upper_bound(boundary)
     if verdict.hypothesis and not verdict.conclusion_holds:
         return [(
@@ -180,7 +180,7 @@ def _prop_upper_bound(graph, rep, boundary):
     return []
 
 
-def _prop_chi_form(graph, rep, boundary):
+def _prop_chi_form(graph, rep, boundary, memo):
     if rep.c1_beta_zero and not rep.c2_chi_form:
         return [(
             "beta = 0 implies chi(F) = 1 - sum mu_perp",
@@ -226,15 +226,15 @@ def resolve_properties(names=None) -> tuple[str, ...]:
     return tuple(name for name in ALL_PROPERTIES if name in requested)
 
 
-# datums handed to a worker per round trip.  Whole-process `verify` wall
-# time at --jobs 2 on 2 CPUs, medians against 256: 4.18 vs 4.33 s on the
-# 20,024 datums of (3,4,3,3), 0.154 vs 0.178 s on the 99 of (2,3,2,2),
-# where 256 leaves one worker idle; 16 and 1024 were slower still
+# datums handed to a worker per round trip, each chunk with its own copy of the
+# sweep's empty memo.  `verify` of the 20,024 datums of (3,4,3,3) on 2 CPUs, import
+# to exit: 2.76 s at --jobs 1; at --jobs 2, 1.93 s at 64 against 1.82 s at 256
+# (medians of ten alternating pairs, inside their spread), 2.40 s at 16
 _CHUNKSIZE = 64
 
 
-def check_datum(datum: EquisingularDatum, names) -> list[Violation]:
-    graph = analyse(datum)
+def check_datum(datum: EquisingularDatum, names, memo: dict | None = None) -> list[Violation]:
+    graph = analyse(datum, memo)
     rep = beta(datum) if singular_branches(datum) else None
     # a closure, not functools.cache, which spends about 6 us per datum
     # (CPython 3.11) on the wrapper even when no property reads the boundary
@@ -242,7 +242,7 @@ def check_datum(datum: EquisingularDatum, names) -> list[Violation]:
 
     def boundary():
         if not built:
-            built.append(boundary2_components(datum))
+            built.append(boundary2_components(datum, memo))
         return built[0]
 
     violations = []
@@ -250,7 +250,7 @@ def check_datum(datum: EquisingularDatum, names) -> list[Violation]:
         fn, singular = _TABLE[name]
         if singular and rep is None:
             continue
-        for expected, got, documented in fn(graph, rep, boundary):
+        for expected, got, documented in fn(graph, rep, boundary, memo):
             violations.append(Violation(datum, name, expected, got, documented))
     return violations
 
@@ -259,7 +259,9 @@ def run_sweep(bounds: CorpusBounds, properties=None, jobs: int = 1) -> SweepResu
     """Check the corpus as it is enumerated; violations keep enumeration
     order at any job count, because both maps below preserve it."""
     names = resolve_properties(properties)
-    check = partial(check_datum, names=names)
+    # the sweep's memo: graphs by shape, cokernels by (m, k), dropped with
+    # `check`; at --jobs > 1 each chunk gets a copy of it, empty
+    check = partial(check_datum, names=names, memo={})
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))  # honours taskset and cpusets
     else:

@@ -108,9 +108,9 @@ def test_property_fires_on_its_break(name, make, brk, expected):
     rep = beta(datum) if singular_branches(datum) else None
     report = boundary2_components(datum) if rep is not None else None
     fn = _TABLE[name][0]
-    assert fn(graph, rep, lambda: report) == []
+    assert fn(graph, rep, lambda: report, None) == []
     graph, rep, report = brk(graph, rep, report)
-    assert fn(graph, rep, lambda: report) == expected
+    assert fn(graph, rep, lambda: report, None) == expected
 
 
 def _corrupt_graphs(monkeypatch, **change):
@@ -129,7 +129,7 @@ def test_divide_by_gcd_fires_on_a_disconnected_reduced_fibre(monkeypatch):
     # joins the last sheet to the one annulus, that sheet is a component
     _corrupt_graphs(monkeypatch, edges=lambda g: g.edges[:-1])
     graph = analyse(make_datum([(2, 0), (3, 0)], [[0, 1], [1, 0]]))
-    assert _prop_divide_by_gcd(graph, None, None) == [
+    assert _prop_divide_by_gcd(graph, None, None, None) == [
         ("reduced fibre connected (b0 = 1)", "b0 = 2", False),
     ]
 

@@ -561,11 +561,12 @@ _check_datum = milnor_lab.sweep.check_datum
 _slow_datum = None
 
 
-def _check_slowly(datum, names):
-    # module level, so that a forked worker can unpickle it by reference
+def _check_slowly(datum, names, memo):
+    # module level, so that a forked worker can unpickle it by reference; the
+    # sweep's memo is passed on unchanged
     if datum == _slow_datum:
         time.sleep(0.3)
-    return _check_datum(datum, names)
+    return _check_datum(datum, names, memo)
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),

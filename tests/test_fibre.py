@@ -226,6 +226,36 @@ def test_boundary_route_runs_once_per_datum(monkeypatch):
     assert cokernels == []
 
 
+def test_sweep_memo_graph_matches_a_fresh_build():
+    # one memo over the corpus, as a sweep holds it: a datum whose shape was
+    # built before gets its graph on the kept one's edges and must not differ
+    memo = {}
+    shared = 0
+    for datum in enumerate_corpus(CorpusBounds(3, 3, 2, 2)):
+        graph = analyse(datum, memo)
+        fresh = build_fibre_graph(datum)
+        shared += graph.template is not None
+        for name in ("edges", "shift_cycles", "size", "vertex_count", "edge_count",
+                     "labels", "d", "monodromy", "summary"):
+            assert getattr(graph, name) == getattr(fresh, name), (datum, name)
+        if milnor_lab.invariants.singular_branches(datum):
+            twin = EquisingularDatum(datum.branches, datum.intersections)
+            assert boundary2_components(datum, memo) == boundary2_components(twin)
+    assert shared > 0  # not vacuous
+
+
+def test_sweep_memo_lives_one_sweep(monkeypatch):
+    builds = _count_calls(monkeypatch, milnor_lab.fibre, "build_fibre_graph")
+    cokernels = _count_calls(monkeypatch, milnor_lab.invariants, "cokernel")
+    counts = []
+    for _ in range(2):
+        result = milnor_lab.sweep.run_sweep(CorpusBounds(3, 3, 1, 2))
+        counts.append((len(builds), len(cokernels)))
+        builds.clear()
+        cokernels.clear()
+    assert counts[0] == counts[1]
+    assert 0 < counts[0][0] < result.checked and 0 < counts[0][1]
+
 def test_check_datum_property_alone_matches_full_suite():
     sweep = milnor_lab.sweep
     found = set()

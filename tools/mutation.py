@@ -83,8 +83,18 @@ MUTANTS = {
     ),
     "graph-drops-copies-weight": (
         "src/milnor_lab/fibre.py",
-        "edge_count += node.copies * (len(edges) - first)",
-        "edge_count += len(edges) - first",
+        "edge_count += node.copies * built",
+        "edge_count += built",
+    ),
+    "graph-shape-keyed-on-multiplicity": (
+        "src/milnor_lab/fibre.py",
+        "shape = tuple((b.multiplicity, b.delta >= 1) for b in datum.branches)",
+        "shape = tuple((b.multiplicity,) for b in datum.branches)",
+    ),
+    "cokernel-keyed-on-m": (
+        "src/milnor_lab/invariants.py",
+        "pres = memoized(memo, (m, k), lambda: cokernel(shift_minus_identity(m, k)))",
+        "pres = memoized(memo, m, lambda: cokernel(shift_minus_identity(m, k)))",
     ),
 }
 
