@@ -46,7 +46,6 @@ from .intlinalg import (
 )
 from .invariants import (
     BetaReport,
-    Boundary2Report,
     ReducedDatumError,
     TransversalData,
     UpperBoundVerdict,
@@ -96,7 +95,6 @@ __all__ = [
     "cokernel",
     "smith_normal_form",
     "BetaReport",
-    "Boundary2Report",
     "ReducedDatumError",
     "TransversalData",
     "UpperBoundVerdict",

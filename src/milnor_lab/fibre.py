@@ -6,7 +6,7 @@ the network.  An open surface is homotopy equivalent to a graph, so each
 annulus is modelled as a vertex with a loop edge (its core circle) plus
 one incidence edge per boundary circle; this reproduces the local Euler
 characteristic of the gluing exactly, and connectivity and b_1 follow
-from union-find and V - E.
+from a search of the graph and V - E.
 
 Sheet a of branch i attaches to annulus c of a node iff a = c mod gcd;
 at a self node annulus c simply joins sheet c to itself on both sides.
@@ -18,7 +18,7 @@ A node of the network stands for ``copies`` identical double points
 sheets in the same way, so extra copies change neither connectivity nor
 the sheet shift; they only add to V - E.  The annuli of each node are
 built once, weighted by its copies: ``vertex_count`` and ``edge_count``
-count the full expansion, while union-find and the shift run on the
+count the full expansion, while the labelling and the shift run on the
 ``size`` vertices actually built, whose number does not depend on
 delta_i or I_ij.
 
@@ -31,7 +31,7 @@ from it only while the monodromy is checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
@@ -52,43 +52,34 @@ class FibreGraph:
     node_edges: tuple[int, ...]  # built edges of each node
     vertex_count: int  # vertices of the full expansion, every copy counted
     edge_count: int  # edges of the full expansion, every copy counted
-    # a sweep's first graph of this shape, whose labels, d and monodromy this one reads
-    template: FibreGraph | None = field(default=None, repr=False, compare=False)
 
     def component_labels(self) -> list[int]:
         """Component id per built vertex, numbered by first appearance."""
-        parent = list(range(self.size))
-
-        def find(x):
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
+        adjacent = [[] for _ in range(self.size)]
         for u, v in self.edges:
-            if u != v:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[rv] = ru
+            adjacent[u].append(v)
+            adjacent[v].append(u)
         labels = [-1] * self.size
-        next_label = 0
-        for v in range(self.size):
-            root = find(v)
-            if labels[root] == -1:
-                labels[root] = next_label
-                next_label += 1
-            labels[v] = labels[root]
+        count = 0
+        for start in range(self.size):
+            if labels[start] == -1:
+                labels[start] = count
+                stack = [start]
+                while stack:
+                    for w in adjacent[stack.pop()]:
+                        if labels[w] == -1:
+                            labels[w] = count
+                            stack.append(w)
+                count += 1
         return labels
 
     @cached_property
     def labels(self) -> list[int]:
-        return self.component_labels() if self.template is None else self.template.labels
+        return self.component_labels()
 
     @cached_property
     def d(self) -> int:
-        return max(self.labels) + 1 if self.template is None else self.template.d
+        return max(self.labels) + 1
 
     @property
     def chi(self) -> int:
@@ -117,8 +108,6 @@ class FibreGraph:
     @cached_property
     def monodromy(self) -> ComponentMonodromy:
         """Permutation of the components induced by the sheet shift."""
-        if self.template is not None:
-            return self.template.monodromy
         labels = self.labels
         sigma = []
         for first, length in self.shift_cycles:
@@ -194,7 +183,7 @@ def build_fibre_graph(datum: EquisingularDatum) -> FibreGraph:
     return _weighed(datum, network, tuple(cycles), tuple(edges), vertex, tuple(node_edges))
 
 
-def _weighed(datum, network, cycles, edges, size, node_edges, template=None) -> FibreGraph:
+def _weighed(datum, network, cycles, edges, size, node_edges) -> FibreGraph:
     """The datum's graph on built edges, each node's annuli and edges counted per copy."""
     vertex_count = sum(m for _, m in cycles[:datum.r])
     edge_count = 0
@@ -202,7 +191,7 @@ def _weighed(datum, network, cycles, edges, size, node_edges, template=None) -> 
         vertex_count += node.copies * g
         edge_count += node.copies * built
     return FibreGraph(datum, network, cycles, edges, size, node_edges,
-                      vertex_count, edge_count, template)
+                      vertex_count, edge_count)
 
 
 def euler_characteristic_closed(datum: EquisingularDatum) -> int:
@@ -233,14 +222,17 @@ def analyse(datum: EquisingularDatum, memo: dict | None = None) -> FibreGraph:
     in its ``__dict__`` as ``cached_property`` keeps ``violations``: the calls
     on one object share one graph, and the graph lives no longer than it.
     With a sweep's ``memo``, a datum whose shape ``((m_i, delta_i >= 1), ...)``
-    was built before gets its own network, V and E on that graph's edges, and
-    reads its labels, d and monodromy: one union-find and shift check per shape."""
+    was built before gets a graph of its own network, V and E on that graph's
+    edges, holding that graph's labels, d and monodromy in its ``__dict__`` as
+    ``cached_property`` would: one labelling and shift check per shape."""
     kept = vars(require_valid(datum))
     if "_fibre_graph" not in kept:
         shape = tuple((b.multiplicity, b.delta >= 1) for b in datum.branches)
         t = memoized(memo, shape, lambda: build_fibre_graph(datum))
-        kept["_fibre_graph"] = t if t.datum is datum else _weighed(
-            datum, tuple(build_network(datum)), t.shift_cycles, t.edges, t.size, t.node_edges, t)
+        kept["_fibre_graph"] = graph = t if t.datum is datum else _weighed(
+            datum, tuple(build_network(datum)), t.shift_cycles, t.edges, t.size, t.node_edges)
+        if graph is not t:
+            vars(graph).update(labels=t.labels, d=t.d, monodromy=t.monodromy)
     return kept["_fibre_graph"]
 
 

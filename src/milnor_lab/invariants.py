@@ -63,11 +63,11 @@ class BetaReport:
     def upper_bound(self, boundary) -> UpperBoundVerdict:
         """When rank H_0(F) attains its bound, every cokernel of A_i - I must
         be free and every shift k_i must vanish mod m_i.  ``boundary`` returns
-        the datum's Boundary2Report and is called only where the bound holds."""
+        the datum's boundary entries and is called only where the bound holds."""
         if not self.bound_attained:
             return _NOT_ATTAINED  # the hypothesis fails: no boundary to build
         # every cokernel is free: boundary2_components raises on any torsion
-        identity = all(e.shift == 0 for e in boundary().branches)
+        identity = all(e.shift == 0 for e in boundary())
         return UpperBoundVerdict(True, True, identity, identity)
 
 
@@ -78,11 +78,6 @@ class Boundary2Branch:
     components: int
     coker: CokernelPresentation
     chain_ok: bool
-
-
-@dataclass(frozen=True)
-class Boundary2Report:
-    branches: tuple[Boundary2Branch, ...]
 
 
 @dataclass(frozen=True)
@@ -178,7 +173,8 @@ def shift_minus_identity(m: int, k: int) -> SparseColumns:
     ))
 
 
-def boundary2_components(datum: EquisingularDatum, memo: dict | None = None) -> Boundary2Report:
+def boundary2_components(datum: EquisingularDatum,
+                         memo: dict | None = None) -> tuple[Boundary2Branch, ...]:
     """Components of the fibre boundary over the singular set, per branch.
 
     Two routes per branch: gcd(m_i, k_i) directly, and the cokernel of
@@ -212,7 +208,7 @@ def boundary2_components(datum: EquisingularDatum, memo: dict | None = None) -> 
             and set(comps[:g]) == set(range(n_components))
         )
         entries.append(Boundary2Branch(i, k, g, pres, chain_ok))
-    return Boundary2Report(tuple(entries))
+    return tuple(entries)
 
 
 def check_upper_bound(datum: EquisingularDatum) -> UpperBoundVerdict:

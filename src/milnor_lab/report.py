@@ -68,7 +68,7 @@ def build_analysis(datum: EquisingularDatum) -> dict:
                 "coker_torsion": list(e.coker.torsion),
                 "chain_ok": e.chain_ok,
             }
-            for e in b2.branches
+            for e in b2
         ]
         upper_bound = asdict(beta_rep.upper_bound(lambda: b2))
     else:

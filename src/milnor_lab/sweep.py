@@ -48,20 +48,20 @@ class SweepResult:
 
 # --- property checks -------------------------------------------------------
 # each takes the datum's FibreGraph, its beta report (None without a singular set),
-# `boundary`, which builds its Boundary2Report on the first call (only coker-rank and
-# upper-bound call it), and the sweep's memo; returns (expected, got, documented) triples
+# `boundary`, which builds its boundary entries on the first call (only coker-rank and
+# upper-bound call it), and the sweep's memo; returns (expected, got) pairs
 
 def _prop_lemma_d_gcd(graph, rep, boundary, memo):
     expected = gcd(*graph.datum.multiplicities)
     if graph.d != expected:
-        return [(f"b0 = gcd(m_i) = {expected}", f"b0 = {graph.d}", False)]
+        return [(f"b0 = gcd(m_i) = {expected}", f"b0 = {graph.d}")]
     return []
 
 
 def _prop_two_route_chi(graph, rep, boundary, memo):
     closed = euler_characteristic_closed(graph.datum)
     if graph.chi != closed:
-        return [(f"V - E = closed form = {closed}", f"V - E = {graph.chi}", False)]
+        return [(f"V - E = closed form = {closed}", f"V - E = {graph.chi}")]
     return []
 
 
@@ -70,7 +70,7 @@ def _prop_mu_reduced(graph, rep, boundary, memo):
         return []
     expected = mu_reduced(graph.datum)
     if graph.b1 != expected:
-        return [(f"b1 = 2*delta_total - r + 1 = {expected}", f"b1 = {graph.b1}", False)]
+        return [(f"b1 = 2*delta_total - r + 1 = {expected}", f"b1 = {graph.b1}")]
     return []
 
 
@@ -81,16 +81,16 @@ def _prop_divide_by_gcd(graph, rep, boundary, memo):
     triple = (graph.d, graph.b1, graph.chi)
     scaled = tuple(d * x for x in (rgraph.d, rgraph.b1, rgraph.chi))
     if triple != scaled:
-        out.append((f"(b0, b1, chi) = d * reduced = {scaled}", f"{triple}", False))
+        out.append((f"(b0, b1, chi) = d * reduced = {scaled}", f"{triple}"))
     if rgraph.d != 1:
-        out.append(("reduced fibre connected (b0 = 1)", f"b0 = {rgraph.d}", False))
+        out.append(("reduced fibre connected (b0 = 1)", f"b0 = {rgraph.d}"))
     return out
 
 
 def _prop_monodromy_cycle(graph, rep, boundary, memo):
     mono = component_monodromy(graph.datum)
     if mono.cycle_type != (graph.d,):
-        return [(f"cycle type [{graph.d}]", f"{list(mono.cycle_type)}", False)]
+        return [(f"cycle type [{graph.d}]", f"{list(mono.cycle_type)}")]
     return []
 
 
@@ -100,14 +100,13 @@ def _prop_b1_zero_iff_xr(graph, rep, boundary, memo):
         return [(
             "b1 = 0 exactly for a power of a smooth branch",
             f"r = {datum.r}, delta = {list(datum.deltas)}, b1 = {graph.b1}",
-            False,
         )]
     return []
 
 
 def _prop_beta_nonneg(graph, rep, boundary, memo):
     if rep.beta < 0:
-        return [("beta >= 0", f"beta = {rep.beta}", False)]
+        return [("beta >= 0", f"beta = {rep.beta}")]
     return []
 
 
@@ -116,7 +115,6 @@ def _prop_corollary_beta0(graph, rep, boundary, memo):
         return [(
             "beta = 0 exactly for a power of a smooth branch",
             f"beta = {rep.beta}, structural verdict = {rep.verdict_bobadilla}",
-            False,
         )]
     return []
 
@@ -126,7 +124,6 @@ def _prop_c1_iff_c3(graph, rep, boundary, memo):
         return [(
             "C1 (beta = 0) equivalent to C3 (b1 = 0 and b0 - 1 = sum mu_perp)",
             f"C1 = {rep.c1_beta_zero}, C3 = {rep.c3_homology_form}",
-            False,
         )]
     return []
 
@@ -134,7 +131,7 @@ def _prop_c1_iff_c3(graph, rep, boundary, memo):
 def _prop_coker_rank(graph, rep, boundary, memo):
     out = []
     d = graph.d
-    for entry in boundary().branches:
+    for entry in boundary():
         m = graph.datum.branches[entry.branch].multiplicity
         # independent orbit oracle for the shift a -> a + k (mod m)
         seen = set()
@@ -151,19 +148,16 @@ def _prop_coker_rank(graph, rep, boundary, memo):
             out.append((
                 f"branch {entry.branch + 1}: coker(A - I) free of rank {orbits}",
                 f"rank {entry.coker.free_rank}, torsion {list(entry.coker.torsion)}",
-                False,
             ))
         if entry.components % d != 0:
             out.append((
                 f"branch {entry.branch + 1}: d | gcd(m, k)",
                 f"d = {d}, gcd = {entry.components}",
-                False,
             ))
         if not entry.chain_ok:
             out.append((
                 f"branch {entry.branch + 1}: boundary components map onto fibre components",
                 "chain_ok = False",
-                False,
             ))
     return out
 
@@ -175,7 +169,6 @@ def _prop_upper_bound(graph, rep, boundary, memo):
             "rank bound attained forces identity vertical monodromies",
             f"cokernels_free = {verdict.cokernels_free}, "
             f"shifts_identity = {verdict.shifts_identity}",
-            False,
         )]
     return []
 
@@ -185,30 +178,29 @@ def _prop_chi_form(graph, rep, boundary, memo):
         return [(
             "beta = 0 implies chi(F) = 1 - sum mu_perp",
             f"beta = 0, chi-form false (b0 = {rep.b0}, b1 = {rep.b1})",
-            True,  # known discrepancy of the chi-form at curve level
         )]
     return []
 
 
-# name, check, in the default suite, needs a singular set (some m_i >= 2)
+# name, check, its findings are documented (so it is opt-in), needs a singular set
 _REGISTRY = (
-    ("lemma-d-gcd", _prop_lemma_d_gcd, True, False),
-    ("two-route-chi", _prop_two_route_chi, True, False),
-    ("mu-reduced", _prop_mu_reduced, True, False),
-    ("divide-by-gcd", _prop_divide_by_gcd, True, False),
-    ("monodromy-cycle", _prop_monodromy_cycle, True, False),
-    ("prop1-b1-xr", _prop_b1_zero_iff_xr, True, False),
-    ("beta-nonneg", _prop_beta_nonneg, True, True),
-    ("corollary-beta0", _prop_corollary_beta0, True, True),
-    ("c1-iff-c3", _prop_c1_iff_c3, True, True),
-    ("coker-rank", _prop_coker_rank, True, True),
-    ("upper-bound", _prop_upper_bound, True, True),
-    ("prop2-chi-form", _prop_chi_form, False, True),
+    ("lemma-d-gcd", _prop_lemma_d_gcd, False, False),
+    ("two-route-chi", _prop_two_route_chi, False, False),
+    ("mu-reduced", _prop_mu_reduced, False, False),
+    ("divide-by-gcd", _prop_divide_by_gcd, False, False),
+    ("monodromy-cycle", _prop_monodromy_cycle, False, False),
+    ("prop1-b1-xr", _prop_b1_zero_iff_xr, False, False),
+    ("beta-nonneg", _prop_beta_nonneg, False, True),
+    ("corollary-beta0", _prop_corollary_beta0, False, True),
+    ("c1-iff-c3", _prop_c1_iff_c3, False, True),
+    ("coker-rank", _prop_coker_rank, False, True),
+    ("upper-bound", _prop_upper_bound, False, True),
+    ("prop2-chi-form", _prop_chi_form, True, True),  # known discrepancy at curve level
 )
 
-DEFAULT_PROPERTIES = tuple(name for name, _, default, _ in _REGISTRY if default)
+DEFAULT_PROPERTIES = tuple(name for name, _, documented, _ in _REGISTRY if not documented)
 ALL_PROPERTIES = tuple(name for name, _, _, _ in _REGISTRY)
-_TABLE = {name: (fn, singular) for name, fn, _, singular in _REGISTRY}
+_TABLE = {name: (fn, documented, singular) for name, fn, documented, singular in _REGISTRY}
 
 
 def resolve_properties(names=None) -> tuple[str, ...]:
@@ -247,10 +239,10 @@ def check_datum(datum: EquisingularDatum, names, memo: dict | None = None) -> li
 
     violations = []
     for name in names:
-        fn, singular = _TABLE[name]
+        fn, documented, singular = _TABLE[name]
         if singular and rep is None:
             continue
-        for expected, got, documented in fn(graph, rep, boundary, memo):
+        for expected, got in fn(graph, rep, boundary, memo):
             violations.append(Violation(datum, name, expected, got, documented))
     return violations
 

@@ -153,6 +153,13 @@ def brute_roots(vertex_count, edges):
     return [find(v) for v in range(vertex_count)]
 
 
+def union_find_labels(vertex_count, edges):
+    """Component id per vertex by union-find, the roots numbered by first
+    appearance in vertex order: the package's labelling before its search."""
+    ids = {}
+    return [ids.setdefault(root, len(ids)) for root in brute_roots(vertex_count, edges)]
+
+
 def cycle_type_on_roots(roots, sigma):
     """Cycle type of the permutation sigma induces on the union-find roots."""
     image = {}
@@ -205,5 +212,5 @@ def assert_matches_full_expansion(datum):
         chain_ok.append((i, g % d == 0
                          and all(len(h) == 1 for h in hit)
                          and set().union(*hit) == set(roots)))
-    got = [(e.branch, e.chain_ok) for e in boundary2_components(datum).branches]
+    got = [(e.branch, e.chain_ok) for e in boundary2_components(datum)]
     assert got == chain_ok

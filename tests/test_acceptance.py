@@ -46,7 +46,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def singular_reports(corpus):
-    """(datum, BetaReport, Boundary2Report) for every non-reduced corpus datum."""
+    """(datum, BetaReport, its Boundary2Branch entries) for every non-reduced corpus datum."""
     out = []
     for datum in corpus:
         if any(b.multiplicity >= 2 for b in datum.branches):
@@ -171,7 +171,7 @@ def test_criterion_07_snf_suite(singular_reports):
     coker_failures = 0
     branches_checked = 0
     for datum, _, b2 in singular_reports:
-        for entry in b2.branches:
+        for entry in b2:
             branches_checked += 1
             m = datum.branches[entry.branch].multiplicity
             if entry.coker.free_rank != gcd(m, entry.shift) or entry.coker.torsion:
@@ -191,7 +191,7 @@ def test_criterion_08_upper_bound_forces_identity(singular_reports):
             continue
         attained += 1
         if any(entry.shift % datum.branches[entry.branch].multiplicity != 0
-               for entry in b2.branches):
+               for entry in b2):
             violations += 1
         verdict = check_upper_bound(datum)
         if not (verdict.hypothesis and verdict.conclusion_holds):
@@ -205,7 +205,7 @@ def test_criterion_09_beta_nonneg_and_divisibility(singular_reports):
     for datum, rep, b2 in singular_reports:
         if rep.beta < 0:
             violations += 1
-        for entry in b2.branches:
+        for entry in b2:
             if entry.components % rep.b0 != 0:
                 violations += 1
     _report(9, f"beta >= 0 and d | gcd(m_i, k_i) on {len(singular_reports)} "

@@ -11,6 +11,7 @@ import pytest
 
 import milnor_lab.fibre
 import milnor_lab.invariants
+import milnor_lab.sweep
 from milnor_lab import (
     UpperBoundVerdict,
     beta,
@@ -41,58 +42,57 @@ def _node():
     return make_datum([(1, 0), (1, 0)], [[0, 1], [1, 0]])  # reduced, mu = 1
 
 
-def _edge_count_plus_one(graph, rep, report):
-    return replace(graph, edge_count=graph.edge_count + 1), rep, report
+def _edge_count_plus_one(graph, rep, entries):
+    return replace(graph, edge_count=graph.edge_count + 1), rep, entries
 
 
-def _no_edges(graph, rep, report):
-    return replace(graph, edges=()), rep, report
+def _no_edges(graph, rep, entries):
+    return replace(graph, edges=()), rep, entries
 
 
 def _rep(**change):
-    return lambda graph, rep, report: (graph, replace(rep, **change), report)
+    return lambda graph, rep, entries: (graph, replace(rep, **change), entries)
 
 
 def _first_branch(**change):
-    def brk(graph, rep, report):
-        first = replace(report.branches[0], **change)
-        return graph, rep, replace(report, branches=(first,) + report.branches[1:])
+    def brk(graph, rep, entries):
+        return graph, rep, (replace(entries[0], **change),) + entries[1:]
     return brk
 
 
-# property, datum, break, the (expected, got, documented) triples it must report
+# property, datum, break, the (expected, got) pairs it must report
 BREAKS = [
-    ("lemma-d-gcd", _m46, _no_edges, [("b0 = gcd(m_i) = 2", "b0 = 12", False)]),
+    ("lemma-d-gcd", _m46, _no_edges, [("b0 = gcd(m_i) = 2", "b0 = 12")]),
     ("two-route-chi", _m46, _edge_count_plus_one,
-     [("V - E = closed form = 0", "V - E = -1", False)]),
+     [("V - E = closed form = 0", "V - E = -1")]),
     ("mu-reduced", _node, _edge_count_plus_one,
-     [("b1 = 2*delta_total - r + 1 = 1", "b1 = 2", False)]),
+     [("b1 = 2*delta_total - r + 1 = 1", "b1 = 2")]),
     ("divide-by-gcd", _m46, _edge_count_plus_one,
-     [("(b0, b1, chi) = d * reduced = (2, 2, 0)", "(2, 3, -1)", False)]),
-    ("monodromy-cycle", _m46, _no_edges, [("cycle type [12]", "[2]", False)]),
+     [("(b0, b1, chi) = d * reduced = (2, 2, 0)", "(2, 3, -1)")]),
+    ("monodromy-cycle", _m46, _no_edges, [("cycle type [12]", "[2]")]),
     ("prop1-b1-xr", _x6, _edge_count_plus_one,
-     [("b1 = 0 exactly for a power of a smooth branch", "r = 1, delta = [0], b1 = 1", False)]),
-    ("beta-nonneg", _m46, _rep(beta=-1), [("beta >= 0", "beta = -1", False)]),
+     [("b1 = 0 exactly for a power of a smooth branch", "r = 1, delta = [0], b1 = 1")]),
+    ("beta-nonneg", _m46, _rep(beta=-1), [("beta >= 0", "beta = -1")]),
     ("corollary-beta0", _x6, _rep(verdict_bobadilla=False),
      [("beta = 0 exactly for a power of a smooth branch",
-       "beta = 0, structural verdict = False", False)]),
+       "beta = 0, structural verdict = False")]),
     ("c1-iff-c3", _x6, _rep(c3_homology_form=False),
      [("C1 (beta = 0) equivalent to C3 (b1 = 0 and b0 - 1 = sum mu_perp)",
-       "C1 = True, C3 = False", False)]),
+       "C1 = True, C3 = False")]),
     ("coker-rank", _m46, _first_branch(coker=CokernelPresentation(3, ())),
-     [("branch 1: coker(A - I) free of rank 2", "rank 3, torsion []", False)]),
+     [("branch 1: coker(A - I) free of rank 2", "rank 3, torsion []")]),
     ("coker-rank", _m46, _first_branch(coker=CokernelPresentation(2, (2,))),
-     [("branch 1: coker(A - I) free of rank 2", "rank 2, torsion [2]", False)]),
+     [("branch 1: coker(A - I) free of rank 2", "rank 2, torsion [2]")]),
     ("coker-rank", _m46, _first_branch(components=3),
-     [("branch 1: d | gcd(m, k)", "d = 2, gcd = 3", False)]),
+     [("branch 1: d | gcd(m, k)", "d = 2, gcd = 3")]),
     ("coker-rank", _m46, _first_branch(chain_ok=False),
-     [("branch 1: boundary components map onto fibre components", "chain_ok = False", False)]),
+     [("branch 1: boundary components map onto fibre components", "chain_ok = False")]),
     ("upper-bound", _x6, _first_branch(shift=1),
      [("rank bound attained forces identity vertical monodromies",
-       "cokernels_free = True, shifts_identity = False", False)]),
+       "cokernels_free = True, shifts_identity = False")]),
     ("prop2-chi-form", _m46, _rep(c1_beta_zero=True),
      [("beta = 0 implies chi(F) = 1 - sum mu_perp",
-       "beta = 0, chi-form false (b0 = 2, b1 = 2)", True)]),
+       "beta = 0, chi-form false (b0 = 2, b1 = 2)")]),
 ]
 
 
@@ -102,15 +102,21 @@ def test_every_property_has_a_break():
 
 @pytest.mark.parametrize("name,make,brk,expected", BREAKS,
                          ids=[f"{case[0]}-{n}" for n, case in enumerate(BREAKS)])
-def test_property_fires_on_its_break(name, make, brk, expected):
+def test_property_fires_on_its_break(name, make, brk, expected, monkeypatch):
     datum = make()
     graph = analyse(datum)
     rep = beta(datum) if singular_branches(datum) else None
-    report = boundary2_components(datum) if rep is not None else None
+    entries = boundary2_components(datum) if rep is not None else None
     fn = _TABLE[name][0]
-    assert fn(graph, rep, lambda: report, None) == []
-    graph, rep, report = brk(graph, rep, report)
-    assert fn(graph, rep, lambda: report, None) == expected
+    assert fn(graph, rep, lambda: entries, None) == []
+    graph, rep, entries = brk(graph, rep, entries)
+    assert fn(graph, rep, lambda: entries, None) == expected
+    # through check_datum, on the same break: only prop2-chi-form's findings are documented
+    vars(datum)["_fibre_graph"] = graph
+    monkeypatch.setattr(milnor_lab.sweep, "beta", lambda _: rep)
+    monkeypatch.setattr(milnor_lab.sweep, "boundary2_components", lambda _, memo: entries)
+    found = check_datum(datum, (name,))
+    assert found and {v.documented for v in found} == {name == "prop2-chi-form"}
 
 
 def _corrupt_graphs(monkeypatch, **change):
@@ -130,7 +136,7 @@ def test_divide_by_gcd_fires_on_a_disconnected_reduced_fibre(monkeypatch):
     _corrupt_graphs(monkeypatch, edges=lambda g: g.edges[:-1])
     graph = analyse(make_datum([(2, 0), (3, 0)], [[0, 1], [1, 0]]))
     assert _prop_divide_by_gcd(graph, None, None, None) == [
-        ("reduced fibre connected (b0 = 1)", "b0 = 2", False),
+        ("reduced fibre connected (b0 = 1)", "b0 = 2"),
     ]
 
 
@@ -151,8 +157,8 @@ def test_chain_ok_sees_sheets_that_miss_a_component(monkeypatch):
     # branch 1's sheets all labelled 0: every class mod gcd is consistent and
     # gcd is a multiple of d, but component 1 is never reached
     _relabel(monkeypatch, {1: 0, 3: 0})
-    report = boundary2_components(from_monomial(4, 6))
-    assert [(e.branch, e.chain_ok) for e in report.branches] == [(0, False), (1, True)]
+    entries = boundary2_components(from_monomial(4, 6))
+    assert [(e.branch, e.chain_ok) for e in entries] == [(0, False), (1, True)]
     violations = check_datum(from_monomial(4, 6), ("coker-rank",))
     assert [(v.prop, v.expected, v.got) for v in violations] == [(
         "coker-rank",

@@ -31,7 +31,12 @@ from milnor_lab import (
 )
 from milnor_lab.fibre import analyse
 
-from oracles import assert_matches_full_expansion, brute_roots, expand_fibre_graph
+from oracles import (
+    assert_matches_full_expansion,
+    brute_roots,
+    expand_fibre_graph,
+    union_find_labels,
+)
 
 
 def _brute_components(vertex_count, edges):
@@ -226,15 +231,17 @@ def test_boundary_route_runs_once_per_datum(monkeypatch):
     assert cokernels == []
 
 
-def test_sweep_memo_graph_matches_a_fresh_build():
+def test_sweep_memo_graph_matches_a_fresh_build(monkeypatch):
     # one memo over the corpus, as a sweep holds it: a datum whose shape was
     # built before gets its graph on the kept one's edges and must not differ
+    builds = _count_calls(monkeypatch, milnor_lab.fibre, "build_fibre_graph")
     memo = {}
     shared = 0
     for datum in enumerate_corpus(CorpusBounds(3, 3, 2, 2)):
+        built = len(builds)
         graph = analyse(datum, memo)
         fresh = build_fibre_graph(datum)
-        shared += graph.template is not None
+        shared += len(builds) == built  # a memo hit builds nothing
         for name in ("edges", "shift_cycles", "size", "vertex_count", "edge_count",
                      "labels", "d", "monodromy", "summary"):
             assert getattr(graph, name) == getattr(fresh, name), (datum, name)
@@ -353,6 +360,29 @@ def test_collapsed_graph_matches_full_expansion_on_wide_networks(seed):
     rng = random.Random(seed)
     for _ in range(50):
         assert_matches_full_expansion(_wide_network(rng))
+
+
+def _labelled_graphs():
+    """The corpus, the seeded wide networks and a few large germs."""
+    for datum in enumerate_corpus(CorpusBounds(3, 3, 2, 2)):
+        yield build_fibre_graph(datum)
+    for seed in range(4):
+        rng = random.Random(seed)
+        for _ in range(50):
+            yield build_fibre_graph(_wide_network(rng))
+    for p, q in ((200, 200), (200, 199), (200, 150), (64, 200)):
+        yield build_fibre_graph(from_monomial(p, q))
+    yield build_fibre_graph(make_datum([(200, 0)], [[0]]))
+    yield build_fibre_graph(make_datum([(200, 1), (3, 0)], [[0, 2], [2, 0]]))
+
+
+def test_component_labels_match_union_find():
+    loops = parallel = 0
+    for graph in _labelled_graphs():
+        assert graph.component_labels() == union_find_labels(graph.size, graph.edges)
+        loops += any(u == v for u, v in graph.edges)
+        parallel += len(set(graph.edges)) < len(graph.edges)
+    assert loops and parallel  # annulus loops, and the parallel edges of self nodes
 
 
 def test_graph_size_ignores_copies():

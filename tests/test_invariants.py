@@ -172,33 +172,33 @@ def test_boundary2_dense_smith_form_sees_no_columns(monkeypatch):
         return original(matrix)
 
     monkeypatch.setattr(milnor_lab.intlinalg, "smith_normal_form", recording)
-    report = boundary2_components(from_monomial(200, 199))
-    assert [e.components for e in report.branches] == [1, 1]
+    entries = boundary2_components(from_monomial(200, 199))
+    assert [e.components for e in entries] == [1, 1]
     assert shapes == [(1, 0), (1, 0)]
 
 
 def test_boundary2_xm():
-    report = boundary2_components(make_datum([(4, 0)], [[0]]))
-    entry = report.branches[0]
+    entries = boundary2_components(make_datum([(4, 0)], [[0]]))
+    entry = entries[0]
     assert (entry.shift, entry.components) == (0, 4)
     assert (entry.coker.free_rank, entry.coker.torsion) == (4, ())
     assert entry.chain_ok
 
 
 def test_boundary2_monomial_2_3():
-    report = boundary2_components(from_monomial(2, 3))
-    by_branch = {e.branch: e for e in report.branches}
+    entries = boundary2_components(from_monomial(2, 3))
+    by_branch = {e.branch: e for e in entries}
     assert by_branch[0].shift == 1 and by_branch[0].components == 1
     assert by_branch[0].coker.free_rank == 1
     assert by_branch[1].shift == 2 and by_branch[1].components == 1
 
 
 def test_boundary2_monomial_4_6():
-    report = boundary2_components(from_monomial(4, 6))
-    by_branch = {e.branch: e for e in report.branches}
+    entries = boundary2_components(from_monomial(4, 6))
+    by_branch = {e.branch: e for e in entries}
     assert by_branch[0].shift == 6 % 4 == 2
     assert by_branch[0].components == 2  # equals d
-    assert all(e.chain_ok for e in report.branches)
+    assert all(e.chain_ok for e in entries)
 
 
 def test_boundary2_reduced_rejected():

@@ -58,7 +58,7 @@ MUTANTS = {
     ),
     "upper-bound-ignores-shifts": (
         "src/milnor_lab/invariants.py",
-        "identity = all(e.shift == 0 for e in boundary().branches)",
+        "identity = all(e.shift == 0 for e in boundary())",
         "identity = True",
     ),
     "coker-rank-drops-d-divides-gcd": (
@@ -96,6 +96,16 @@ MUTANTS = {
         "pres = memoized(memo, (m, k), lambda: cokernel(shift_minus_identity(m, k)))",
         "pres = memoized(memo, m, lambda: cokernel(shift_minus_identity(m, k)))",
     ),
+    "labels-drop-neighbour-push": (
+        "src/milnor_lab/fibre.py",
+        "stack.append(w)",
+        "pass",
+    ),
+    "chi-form-row-undocumented": (
+        "src/milnor_lab/sweep.py",
+        '("prop2-chi-form", _prop_chi_form, True, True),  # known discrepancy at curve level',
+        '("prop2-chi-form", _prop_chi_form, False, True),',
+    ),
 }
 
 
@@ -116,9 +126,12 @@ def run_suite(copy: Path, pytest_args: list[str]) -> tuple[bool, str]:
     """Run the suite in the copy: (passed, first failing test or last line)."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
+        # tests/test_mutants.py checks this table against the unmutated code,
+        # so every mutant would fail it: it is left out of the copy's suite
         result = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             "--continue-on-collection-errors", *pytest_args],
+             "--continue-on-collection-errors", "--ignore=tests/test_mutants.py",
+             *pytest_args],
             cwd=copy, env=env, capture_output=True, text=True, timeout=1800,
         )
     except subprocess.TimeoutExpired:
