@@ -24,7 +24,6 @@ import itertools
 import json
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 
 from .errors import CurveSpecError, ValidationError
@@ -54,13 +53,15 @@ class EquisingularDatum:
     def deltas(self) -> tuple[int, ...]:
         return tuple(b.delta for b in self.branches)
 
-    @cached_property
-    def violations(self) -> tuple[str, ...]:
-        """What ``validate`` reports, computed once per datum object."""
-        return tuple(validate(self))
+    def __post_init__(self):
+        # the one check of a datum: no invalid datum object is ever made
+        violations = validate(self)
+        if violations:
+            raise ValidationError(violations)
 
     def __getstate__(self):
-        # a datum pickles as its two fields, not the graph or checks kept on it
+        # a datum pickles as its two fields, not the graph kept on it;
+        # unpickling skips __post_init__, and only a built datum is pickled
         return {"branches": self.branches, "intersections": self.intersections}
 
 
@@ -132,12 +133,6 @@ def validate(datum: EquisingularDatum) -> list[str]:
     return violations
 
 
-def require_valid(datum: EquisingularDatum) -> EquisingularDatum:
-    if datum.violations:
-        raise ValidationError(datum.violations)
-    return datum
-
-
 # ---------------------------------------------------------------------------
 # standard families
 # ---------------------------------------------------------------------------
@@ -153,7 +148,6 @@ def from_power(base: EquisingularDatum, e: int) -> EquisingularDatum:
     """Datum of f^e: same branches and intersections, multiplicities scaled by e."""
     if e < 1:
         raise CurveSpecError("power exponent must be >= 1")
-    require_valid(base)
     branches = tuple(
         Branch(b.multiplicity * e, b.delta, b.label) for b in base.branches
     )
@@ -187,7 +181,7 @@ def from_quasihomogeneous(specs: list[QuasiHomBranchSpec]) -> EquisingularDatum:
             else:
                 v = min(si.a * sj.b, sj.a * si.b)
             matrix[i][j] = matrix[j][i] = v
-    return require_valid(make_datum(branches, matrix))
+    return make_datum(branches, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +275,7 @@ def expand_spec(obj) -> EquisingularDatum:
         if not isinstance(row, list):
             raise CurveSpecError("'intersections' rows must be lists")
         rows.append(tuple(row))
-    return require_valid(EquisingularDatum(tuple(branches), tuple(rows)))
+    return EquisingularDatum(tuple(branches), tuple(rows))
 
 
 def _check_keys(obj, allowed, where="curve-spec", required=None):

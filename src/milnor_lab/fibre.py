@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .datum import EquisingularDatum, Branch, require_valid
+from .datum import EquisingularDatum, Branch
 from .errors import InternalInconsistencyError
 from .network import NetworkNode, build_network
 
@@ -100,7 +100,7 @@ class FibreGraph:
         d_gcd = gcd(*self.datum.multiplicities)
         if self.d != d_gcd:
             raise InternalInconsistencyError(
-                f"component mismatch: union-find gives {self.d}, "
+                f"component mismatch: component search gives {self.d}, "
                 f"gcd of multiplicities gives {d_gcd}"
             )
         return FibreSummary(self.d, self.b1, self.chi, chi_closed)
@@ -155,7 +155,6 @@ class ComponentMonodromy:
 
 def build_fibre_graph(datum: EquisingularDatum) -> FibreGraph:
     """Build the annuli of each network node once, weighted by its copies."""
-    require_valid(datum)
     cycles = []
     vertex = 0
     for b in datum.branches:
@@ -200,7 +199,6 @@ def euler_characteristic_closed(datum: EquisingularDatum) -> int:
     Bookkeeping of the construction: m_i sheets per branch, p + q deleted
     boundary discs per D[p,q] point, annuli contributing chi = 0.
     """
-    require_valid(datum)
     total = 0
     for i, b in enumerate(datum.branches):
         others = sum(datum.intersections[i][j] for j in range(datum.r) if j != i)
@@ -218,14 +216,14 @@ def memoized(memo: dict | None, key, make):
 
 
 def analyse(datum: EquisingularDatum, memo: dict | None = None) -> FibreGraph:
-    """The fibre graph of a datum, validated first and kept per datum object,
-    in its ``__dict__`` as ``cached_property`` keeps ``violations``: the calls
-    on one object share one graph, and the graph lives no longer than it.
+    """The fibre graph of a datum, kept per datum object in its ``__dict__``
+    as ``cached_property`` keeps a value: the calls on one object share one
+    graph, and the graph lives no longer than it.
     With a sweep's ``memo``, a datum whose shape ``((m_i, delta_i >= 1), ...)``
     was built before gets a graph of its own network, V and E on that graph's
     edges, holding that graph's labels, d and monodromy in its ``__dict__`` as
     ``cached_property`` would: one labelling and shift check per shape."""
-    kept = vars(require_valid(datum))
+    kept = vars(datum)
     if "_fibre_graph" not in kept:
         shape = tuple((b.multiplicity, b.delta >= 1) for b in datum.branches)
         t = memoized(memo, shape, lambda: build_fibre_graph(datum))
@@ -264,7 +262,6 @@ def _cycle_type(perm) -> tuple[int, ...]:
 
 def divide_by_gcd(datum: EquisingularDatum) -> tuple[int, EquisingularDatum]:
     """Split off the gcd: f = g^d with g's multiplicities m_i / d."""
-    require_valid(datum)
     d = gcd(*datum.multiplicities)
     if d == 1:
         return d, datum

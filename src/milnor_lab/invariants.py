@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .datum import EquisingularDatum, require_valid
+from .datum import EquisingularDatum
 from .errors import InternalInconsistencyError, MilnorLabError
 from .fibre import analyse, fibre_summary, memoized
 from .intlinalg import CokernelPresentation, SparseColumns, cokernel
@@ -98,7 +98,6 @@ def is_power_of_smooth(datum: EquisingularDatum) -> bool:
 
 def transversal_data(datum: EquisingularDatum) -> TransversalData:
     """Transversal Milnor fibres along the singular branches (m_i >= 2 only)."""
-    require_valid(datum)
     entries = tuple(
         TransversalBranch(i, datum.branches[i].multiplicity,
                           datum.branches[i].multiplicity - 1)
@@ -151,7 +150,6 @@ def vertical_shift(datum: EquisingularDatum, i: int) -> int:
     every verdict downstream depends only on gcd(m_i, k_i) and on k_i = 0,
     both orientation-independent.
     """
-    require_valid(datum)
     m = datum.branches[i].multiplicity
     if m < 2:
         raise ReducedDatumError(f"branch {i + 1} is not singular (multiplicity 1)")
@@ -238,7 +236,6 @@ def classify_xr(datum: EquisingularDatum) -> XrVerdict:
 
 def mu_reduced(datum: EquisingularDatum) -> int:
     """Milnor number of a reduced curve: 2 * delta_total - r + 1 (oracle)."""
-    require_valid(datum)
     if any(b.multiplicity != 1 for b in datum.branches):
         raise ValueError("mu_reduced needs a reduced datum (all multiplicities 1)")
     return 2 * double_point_count(datum) - datum.r + 1

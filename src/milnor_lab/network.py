@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .datum import EquisingularDatum, require_valid
+from .datum import EquisingularDatum
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,6 @@ class NetworkNode:
 def build_network(datum: EquisingularDatum) -> list[NetworkNode]:
     """The multiset of double points: self nodes first (branch order), then
     crossings by pair (i, j) with i < j.  Nodes with zero copies are omitted."""
-    require_valid(datum)
     nodes = []
     for i, b in enumerate(datum.branches):
         if b.delta >= 1:

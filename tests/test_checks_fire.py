@@ -141,7 +141,7 @@ def test_divide_by_gcd_fires_on_a_disconnected_reduced_fibre(monkeypatch):
 
 
 def _relabel(monkeypatch, new):
-    """Make union-find give the vertices in ``new`` the labels given there."""
+    """Make the labelling give the vertices in ``new`` the labels given there."""
     real = FibreGraph.component_labels
 
     def corrupted(self):
@@ -193,7 +193,7 @@ def test_chi_mismatch_exit_3(capsys, monkeypatch):
 def test_component_mismatch_exit_3(capsys, monkeypatch):
     _corrupt_graphs(monkeypatch, edges=lambda g: ())
     _assert_inconsistent(
-        capsys, "component mismatch: union-find gives 12, gcd of multiplicities gives 2"
+        capsys, "component mismatch: component search gives 12, gcd of multiplicities gives 2"
     )
 
 
@@ -209,7 +209,7 @@ def test_shift_not_an_automorphism_exit_3(capsys, monkeypatch):
 
 
 def test_shift_splits_a_component_exit_3(capsys, monkeypatch):
-    # only a union-find fault reaches this raise: vertex 0 takes label 1,
+    # only a labelling fault reaches this raise: vertex 0 takes label 1,
     # so the shift sends component 1 to both components
     _relabel(monkeypatch, {0: 1})
     _assert_inconsistent(capsys, "shift maps one component to two different components")

@@ -1,5 +1,6 @@
 """Datum validation, curve-spec parsing, families, corpus enumeration."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -10,6 +11,7 @@ import milnor_lab
 from milnor_lab import (
     CorpusBounds,
     CurveSpecError,
+    EquisingularDatum,
     QuasiHomBranchSpec,
     ValidationError,
     datum_to_json,
@@ -23,6 +25,7 @@ from milnor_lab import (
     serialize_datum,
     validate,
 )
+from milnor_lab.datum import expand_spec
 from oracles import canonical_key
 
 
@@ -32,33 +35,81 @@ def test_validate_single_branch_ok():
     assert validate(make_datum([(2, 1)], [[0]])) == []
 
 
+def _violations(branch_data, intersections) -> list[str]:
+    """The violations that building the datum raises."""
+    with pytest.raises(ValidationError) as info:
+        make_datum(branch_data, intersections)
+    return info.value.violations
+
+
 def test_validate_zero_intersection_rejected():
-    violations = validate(make_datum([(1, 0), (1, 0)], [[0, 0], [0, 0]]))
+    violations = _violations([(1, 0), (1, 0)], [[0, 0], [0, 0]])
     assert any(">= 1" in v for v in violations)
 
 
 def test_validate_asymmetric_rejected():
-    violations = validate(make_datum([(1, 0), (2, 0)], [[0, 1], [2, 0]]))
+    violations = _violations([(1, 0), (2, 0)], [[0, 1], [2, 0]])
     assert any("symmetry" in v for v in violations)
 
 
 def test_validate_bad_branch_values():
-    violations = validate(make_datum([(0, -1)], [[0]]))
+    violations = _violations([(0, -1)], [[0]])
     assert len(violations) == 2
 
 
 def test_validate_bad_shape():
-    violations = validate(make_datum([(1, 0), (1, 0)], [[0, 1]]))
+    violations = _violations([(1, 0), (1, 0)], [[0, 1]])
     assert any("matrix" in v for v in violations)
 
 
 def test_validate_nonzero_diagonal():
-    violations = validate(make_datum([(1, 0)], [[2]]))
+    violations = _violations([(1, 0)], [[2]])
     assert any("diagonal" in v for v in violations)
 
 
-# every public function that computes from a datum; the serializers,
-# canonical_key, double_point_count and the field predicates only read fields
+def _counted_validations(monkeypatch) -> list:
+    calls = []
+    real = milnor_lab.datum.validate
+
+    def counted(datum):
+        calls.append(datum)
+        return real(datum)
+
+    monkeypatch.setattr(milnor_lab.datum, "validate", counted)
+    return calls
+
+
+_NODE = make_datum([(1, 0), (1, 0)], [[0, 1], [1, 0]])
+_UNMET = ((0, 0), (0, 0))  # two distinct germs that do not meet: invalid
+
+# every way to build a datum, each handed the same invalid intersections
+_BUILDERS = {
+    "EquisingularDatum": lambda: EquisingularDatum(_NODE.branches, _UNMET),
+    "make_datum": lambda: make_datum([(1, 0), (1, 0)], _UNMET),
+    "dataclasses.replace": lambda: dataclasses.replace(_NODE, intersections=_UNMET),
+    "expand_spec": lambda: expand_spec({
+        "branches": [{"multiplicity": 1, "delta": 0}, {"multiplicity": 1, "delta": 0}],
+        "intersections": [[0, 0], [0, 0]],
+    }),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_BUILDERS))
+def test_invalid_datum_cannot_be_built(route, monkeypatch):
+    calls = _counted_validations(monkeypatch)
+    with pytest.raises(ValidationError) as info:
+        _BUILDERS[route]()
+    assert info.value.violations == [
+        "I[1][2] >= 1 required (distinct germs through the origin meet)"
+    ]
+    assert len(calls) == 1
+
+
+_SINGULAR = make_datum([(2, 1), (3, 0)], [[0, 2], [2, 0]])  # gcd 1, branch 1 singular
+
+# every public function that computes from a datum, with a datum it accepts;
+# the serializers, canonical_key, double_point_count and the field
+# predicates only read fields
 _DATUM_CONSUMERS = {
     "build_network": milnor_lab.build_network,
     "build_fibre_graph": milnor_lab.build_fibre_graph,
@@ -80,9 +131,83 @@ _DATUM_CONSUMERS = {
 
 
 @pytest.mark.parametrize("name", sorted(_DATUM_CONSUMERS))
-def test_public_functions_reject_invalid_datum(name):
+def test_public_functions_reject_invalid_datum(name, monkeypatch):
+    # the datum is rejected where it is built, so no function is ever handed
+    # an invalid one; the function checks none of the datums it is handed
     with pytest.raises(ValidationError):
-        _DATUM_CONSUMERS[name](make_datum([(0, -1)], [[0]]))
+        make_datum([(0, -1)], [[0]])
+    calls = _counted_validations(monkeypatch)
+    _DATUM_CONSUMERS[name](_NODE if name == "mu_reduced" else _SINGULAR)  # reduced only
+    # only from_power makes a datum (f^2 of a gcd-1 datum)
+    assert len(calls) == (name == "from_power")
+
+
+_JSON_SCALARS = (None, True, False, 0, 1, 2, 5, -1, -3, 1.0, 2.5, "1", "", "x")
+
+
+def _draw(rng, low, high):
+    """Mostly an integer in [low, high], else any JSON-like scalar."""
+    if rng.random() < 0.92:
+        return rng.randint(low, high)
+    return rng.choice(_JSON_SCALARS)
+
+
+def _draw_spec(rng) -> dict:
+    """A direct-form curve-spec with r <= 4: mostly integers where they
+    belong, with a few wrong kinds, ragged or asymmetric rows and a non-zero
+    diagonal or zero off-diagonal mixed in."""
+    r = rng.randint(0, 4) if rng.random() < 0.05 else rng.randint(1, 4)
+    branches = [{"multiplicity": _draw(rng, 1, 5), "delta": _draw(rng, 0, 3)}
+                for _ in range(r)]
+    if r and rng.random() < 0.3:
+        branches[0]["label"] = rng.choice(("b1", "", "ü"))
+    matrix = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            matrix[i][j] = matrix[j][i] = rng.randint(1, 4)
+    for _ in range(rng.choice((0, 0, 0, 1, 2)) if r else 0):
+        i, j = rng.randrange(r), rng.randrange(r)
+        matrix[i][j] = _draw(rng, 0, 4)  # asymmetric, diagonal or zero cells
+        if rng.random() < 0.5:
+            matrix[j][i] = matrix[i][j]  # symmetric, so only the value is wrong
+    if r and rng.random() < 0.1:
+        del matrix[rng.randrange(r)][-1]  # ragged
+    if rng.random() < 0.05:
+        matrix.append([0] * r)  # too many rows
+    return {"branches": branches, "intersections": matrix}
+
+
+def _is_valid(datum) -> bool:
+    """Independent of ``validate``: exact ints (no bool), m >= 1, delta >= 0,
+    and a symmetric r x r matrix, 0 on the diagonal and >= 1 off it."""
+    r = len(datum.branches)
+    mat = datum.intersections
+    return (
+        r >= 1
+        and all(type(b.multiplicity) is int and b.multiplicity >= 1
+                and type(b.delta) is int and b.delta >= 0 for b in datum.branches)
+        and len(mat) == r and all(len(row) == r for row in mat)
+        and all(type(v) is int for row in mat for v in row)
+        and all(mat[i][j] == mat[j][i] for i in range(r) for j in range(r))
+        and all(mat[i][i] == 0 for i in range(r))
+        and all(mat[i][j] >= 1 for i in range(r) for j in range(r) if i != j)
+    )
+
+
+def test_construction_fuzz_builds_only_valid_datums():
+    rng = random.Random(20)
+    outcomes = {"built": 0, "refused": 0}
+    for _ in range(3000):
+        spec = _draw_spec(rng)
+        try:
+            datum = expand_spec(spec)
+        except CurveSpecError:  # ValidationError included
+            outcomes["refused"] += 1
+            continue
+        assert _is_valid(datum), spec
+        outcomes["built"] += 1
+    # both outcomes are common, so neither side of the gate goes untested
+    assert min(outcomes.values()) >= 500, outcomes
 
 
 # -- families -----------------------------------------------------------------

@@ -101,6 +101,11 @@ MUTANTS = {
         "stack.append(w)",
         "pass",
     ),
+    "datum-gate-inert": (
+        "src/milnor_lab/datum.py",
+        "if violations:",
+        "if False:",
+    ),
     "chi-form-row-undocumented": (
         "src/milnor_lab/sweep.py",
         '("prop2-chi-form", _prop_chi_form, True, True),  # known discrepancy at curve level',
