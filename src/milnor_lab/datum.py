@@ -54,6 +54,10 @@ class EquisingularDatum:
         return tuple(b.delta for b in self.branches)
 
     def __post_init__(self):
+        # branches and rows as tuples, so that every datum hashes and compares
+        # by value; tuple() of a tuple is the tuple itself
+        object.__setattr__(self, "branches", tuple(self.branches))
+        object.__setattr__(self, "intersections", tuple(map(tuple, self.intersections)))
         # the one check of a datum: no invalid datum object is ever made
         violations = validate(self)
         if violations:
@@ -92,8 +96,7 @@ def make_datum(branch_data, intersections) -> EquisingularDatum:
         else:
             m, d, label = item
             branches.append(Branch(m, d, label))
-    matrix = tuple(tuple(row) for row in intersections)
-    return EquisingularDatum(tuple(branches), matrix)
+    return EquisingularDatum(branches, intersections)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +341,7 @@ def enumerate_corpus(bounds: CorpusBounds):
     triangle of I row-major, ascending.  Of each class only the
     lexicographically least labelled representative is yielded, so the
     stream is deterministic and free of branch-permutation duplicates.
+    The datums of one branch-type tuple (a block) share one ``branches``.
     """
     if bounds.max_branches < 1 or bounds.max_multiplicity < 1:
         raise CurveSpecError("corpus bounds: max_branches and max_multiplicity must be >= 1")
@@ -351,6 +355,7 @@ def enumerate_corpus(bounds: CorpusBounds):
     for r in range(1, bounds.max_branches + 1):
         n_edges = r * (r - 1) // 2
         for branch_types in itertools.combinations_with_replacement(pair_types, r):
+            branches = tuple(Branch(m, d) for m, d in branch_types)  # one per block
             stab = [p for p in _stabilizer_perms(branch_types) if p != tuple(range(r))]
             for ivec in itertools.product(
                 range(1, bounds.max_intersection + 1), repeat=n_edges
@@ -363,7 +368,7 @@ def enumerate_corpus(bounds: CorpusBounds):
                         pos += 1
                 if stab and not _is_canonical(matrix, ivec, stab, r):
                     continue
-                yield make_datum(branch_types, matrix)
+                yield EquisingularDatum(branches, matrix)
 
 
 def _is_canonical(matrix, ivec, stab, r):

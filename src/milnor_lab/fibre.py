@@ -49,7 +49,7 @@ class FibreGraph:
     shift_cycles: tuple[tuple[int, int], ...]  # (first vertex, length): branches, then nodes
     edges: tuple[tuple[int, int], ...]  # built edges, loops included, endpoints sorted
     size: int  # built vertices: the sheets, then the annuli of each node
-    node_edges: tuple[int, ...]  # built edges of each node
+    weights: tuple[tuple[int, int], ...]  # (annuli g, built edges) of each node
     vertex_count: int  # vertices of the full expansion, every copy counted
     edge_count: int  # edges of the full expansion, every copy counted
 
@@ -161,9 +161,10 @@ def build_fibre_graph(datum: EquisingularDatum) -> FibreGraph:
         cycles.append((vertex, b.multiplicity))
         vertex += b.multiplicity
 
+    sheets = vertex
     network = tuple(build_network(datum))
     edges = []
-    node_edges = []
+    weights = []
     for node in network:
         off_p = cycles[node.i][0]
         off_q = cycles[node.i if node.j is None else node.j][0]
@@ -178,19 +179,20 @@ def build_fibre_graph(datum: EquisingularDatum) -> FibreGraph:
             for a in range(c, node.q, g):
                 edges.append((off_q + a, av))
         vertex += g
-        node_edges.append(len(edges) - first)
-    return _weighed(datum, network, tuple(cycles), tuple(edges), vertex, tuple(node_edges))
+        weights.append((g, len(edges) - first))
+    counts = weighed_counts(sheets, weights, (node.copies for node in network))
+    return FibreGraph(datum, network, tuple(cycles), tuple(edges), vertex, tuple(weights),
+                      *counts)
 
 
-def _weighed(datum, network, cycles, edges, size, node_edges) -> FibreGraph:
-    """The datum's graph on built edges, each node's annuli and edges counted per copy."""
-    vertex_count = sum(m for _, m in cycles[:datum.r])
-    edge_count = 0
-    for node, (_, g), built in zip(network, cycles[datum.r:], node_edges):
-        vertex_count += node.copies * g
-        edge_count += node.copies * built
-    return FibreGraph(datum, network, cycles, edges, size, node_edges,
-                      vertex_count, edge_count)
+def weighed_counts(sheets, weights, copies) -> tuple[int, int]:
+    """V and E of the full expansion: the sheets, then the ``(g, built edges)``
+    of each network node, counted once per copy."""
+    vertex_count, edge_count = sheets, 0
+    for (g, built), c in zip(weights, copies):
+        vertex_count += c * g
+        edge_count += c * built
+    return vertex_count, edge_count
 
 
 def euler_characteristic_closed(datum: EquisingularDatum) -> int:
@@ -215,22 +217,19 @@ def memoized(memo: dict | None, key, make):
     return memo[key]
 
 
-def analyse(datum: EquisingularDatum, memo: dict | None = None) -> FibreGraph:
+def graph_shape(datum: EquisingularDatum) -> tuple[tuple[int, bool], ...]:
+    """All that a datum's built graph depends on: each m_i, and whether
+    delta_i >= 1 gives branch i a self node; delta_i and I_ij only weigh it."""
+    return tuple((b.multiplicity, b.delta >= 1) for b in datum.branches)
+
+
+def analyse(datum: EquisingularDatum) -> FibreGraph:
     """The fibre graph of a datum, kept per datum object in its ``__dict__``
     as ``cached_property`` keeps a value: the calls on one object share one
-    graph, and the graph lives no longer than it.
-    With a sweep's ``memo``, a datum whose shape ``((m_i, delta_i >= 1), ...)``
-    was built before gets a graph of its own network, V and E on that graph's
-    edges, holding that graph's labels, d and monodromy in its ``__dict__`` as
-    ``cached_property`` would: one labelling and shift check per shape."""
+    graph, and the graph lives no longer than it."""
     kept = vars(datum)
     if "_fibre_graph" not in kept:
-        shape = tuple((b.multiplicity, b.delta >= 1) for b in datum.branches)
-        t = memoized(memo, shape, lambda: build_fibre_graph(datum))
-        kept["_fibre_graph"] = graph = t if t.datum is datum else _weighed(
-            datum, tuple(build_network(datum)), t.shift_cycles, t.edges, t.size, t.node_edges)
-        if graph is not t:
-            vars(graph).update(labels=t.labels, d=t.d, monodromy=t.monodromy)
+        kept["_fibre_graph"] = build_fibre_graph(datum)
     return kept["_fibre_graph"]
 
 

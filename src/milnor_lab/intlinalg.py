@@ -43,11 +43,12 @@ class SparseColumns:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """A = U * S * V with S diagonal, d_1 | d_2 | ... >= 0, U and V unimodular."""
+    """A = U * S * V with S diagonal, d_1 | d_2 | ... >= 0, U and V unimodular
+    (both None when only the diagonal was asked for)."""
 
-    U: IntMatrix
+    U: IntMatrix | None
     S: IntMatrix
-    V: IntMatrix
+    V: IntMatrix | None
 
     def diagonal(self) -> tuple[int, ...]:
         return self.S.diagonal()
@@ -96,16 +97,19 @@ def _clear(m, n, w, t):
     return left
 
 
-def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
+def smith_normal_form(matrix: IntMatrix, companions: bool = True) -> SmithDecomposition:
     """Diagonalize by unimodular row/column operations, A = U * S * V.
 
     Pivot rule: the smallest nonzero |entry| of the remaining submatrix,
     ties broken row-major, moved to (t, t) and made positive.  A column
     operation on S is a row operation on S^T, undone on the columns of V^T
     (the rows of V), so both passes are ``_clear`` and U * S * V = A holds.
+    Without ``companions`` U and V are empty, so no operation touches them,
+    and only S is returned: the same S in O(rows * cols) memory.
     """
     rows, cols = matrix.rows, matrix.cols
-    s, u, v = [list(row) for row in matrix.entries], _identity(rows), _identity(cols)
+    s = [list(row) for row in matrix.entries]
+    u, v = (_identity(rows), _identity(cols)) if companions else ([], [])
     for t in range(min(rows, cols)):
         while True:
             best = min(((abs(x), i, j) for i in range(t, rows)
@@ -113,7 +117,10 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
             if best is None:
                 break
             _, i, j = best
-            _swap(v, s, t, j)  # a column swap of S is a row swap of V
+            for row in s:  # a column swap of S ...
+                row[t], row[j] = row[j], row[t]
+            if v:  # ... is a row swap of V
+                v[t], v[j] = v[j], v[t]
             _swap(s, u, t, i, 1 if s[i][t] > 0 else -1)
             if _clear(s, rows, u, t):
                 continue
@@ -128,9 +135,9 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
                 break
             _subtract(s, u, t, offender, -1)  # pull the non-divisible row up, then redo
     return SmithDecomposition(
-        IntMatrix(rows, rows, tuple(map(tuple, u))),
+        IntMatrix(rows, rows, tuple(map(tuple, u))) if companions else None,
         IntMatrix(rows, cols, tuple(map(tuple, s))),
-        IntMatrix(cols, cols, tuple(map(tuple, v))),
+        IntMatrix(cols, cols, tuple(map(tuple, v))) if companions else None,
     )
 
 
@@ -142,8 +149,8 @@ def cokernel(matrix: IntMatrix | SparseColumns) -> CokernelPresentation:
     whose column is shortest, clear that row from the other columns by
     column operations, then drop the pivot row and column, which leaves
     the cokernel unchanged.  The block that is left (rows still live,
-    columns still nonzero) goes to ``smith_normal_form``, which reduces
-    it exactly whatever the pass missed.
+    columns still nonzero) goes to ``smith_normal_form`` for its diagonal
+    alone, which reduces exactly whatever the pass missed.
     """
     if isinstance(matrix, IntMatrix):
         matrix = SparseColumns.from_dense(matrix)
@@ -185,7 +192,7 @@ def cokernel(matrix: IntMatrix | SparseColumns) -> CokernelPresentation:
     block = IntMatrix(len(order), len(kept), tuple(
         tuple(cols[j].get(i, 0) for j in kept) for i in order
     ))
-    diag = smith_normal_form(block).diagonal()
+    diag = smith_normal_form(block, False).diagonal()
     rank = sum(1 for d in diag if d != 0)
     torsion = tuple(d for d in diag if d > 1)
     return CokernelPresentation(block.rows - rank, torsion)

@@ -71,7 +71,7 @@ class BetaReport:
         return UpperBoundVerdict(True, True, identity, identity)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Boundary2Branch:
     branch: int
     shift: int
@@ -117,22 +117,26 @@ def beta(datum: EquisingularDatum) -> BetaReport:
     if not trans.branches:
         raise ReducedDatumError("beta undefined: isolated singularity")
     summary = fibre_summary(datum)
-    value = summary.b1 - summary.d + trans.total_points
-    mu_perp_sum = sum(e.mu_perp for e in trans.branches)
-    attained = summary.d - 1 == mu_perp_sum
-    c1 = value == 0
-    c2 = summary.chi == 1 - mu_perp_sum
-    c3 = summary.b1 == 0 and attained
-    verdict = is_power_of_smooth(datum)
+    return beta_report(summary.d, summary.b1, summary.chi,
+                       [e.fibre_size for e in trans.branches], is_power_of_smooth(datum))
+
+
+def beta_report(b0: int, b1: int, chi: int, fibre_sizes, verdict: bool) -> BetaReport:
+    """The beta report of a fibre with these Betti numbers and chi, over
+    transversal fibres of ``fibre_sizes`` points, with the structural verdict."""
+    points = sum(fibre_sizes)
+    value = b1 - b0 + points
+    mu_perp_sum = points - len(fibre_sizes)
+    attained = b0 - 1 == mu_perp_sum
     return BetaReport(
         beta=value,
-        b1=summary.b1,
-        b0=summary.d,
-        total_transversal_points=trans.total_points,
-        singular_branch_count=len(trans.branches),
-        c1_beta_zero=c1,
-        c2_chi_form=c2,
-        c3_homology_form=c3,
+        b1=b1,
+        b0=b0,
+        total_transversal_points=points,
+        singular_branch_count=len(fibre_sizes),
+        c1_beta_zero=value == 0,
+        c2_chi_form=chi == 1 - mu_perp_sum,
+        c3_homology_form=b1 == 0 and attained,
         verdict_bobadilla=verdict,
         bound_attained=attained,
     )
@@ -160,6 +164,11 @@ def vertical_shift(datum: EquisingularDatum, i: int) -> int:
     return winding % m
 
 
+def vertical_shifts(datum: EquisingularDatum, branches) -> tuple[int, ...]:
+    """The shift k_i of each of the given singular branches."""
+    return tuple(vertical_shift(datum, i) for i in branches)
+
+
 def shift_minus_identity(m: int, k: int) -> SparseColumns:
     """A - I for the shift a -> a + k of m sheets; its cokernel counts the orbits.
 
@@ -171,8 +180,7 @@ def shift_minus_identity(m: int, k: int) -> SparseColumns:
     ))
 
 
-def boundary2_components(datum: EquisingularDatum,
-                         memo: dict | None = None) -> tuple[Boundary2Branch, ...]:
+def boundary2_components(datum: EquisingularDatum) -> tuple[Boundary2Branch, ...]:
     """Components of the fibre boundary over the singular set, per branch.
 
     Two routes per branch: gcd(m_i, k_i) directly, and the cokernel of
@@ -180,18 +188,24 @@ def boundary2_components(datum: EquisingularDatum,
     torsion.  chain_ok additionally checks, on the fibre graph, that the
     residue classes of branch-i sheets mod gcd(m_i, k_i) map consistently
     onto the fibre components, so the composed boundary map is onto.
-    A sweep's ``memo`` reduces each distinct ``(m_i, k_i)`` once.
     """
-    graph = analyse(datum, memo)  # validates the datum
+    graph = analyse(datum)
     sing = singular_branches(datum)
     if not sing:
         raise ReducedDatumError("boundary components undefined: isolated singularity")
-    labels, n_components = graph.labels, graph.summary.d  # the summary checks chi and d
+    # the summary checks chi and d
+    return boundary_entries(graph.labels, graph.summary.d, graph.shift_cycles,
+                            sing, vertical_shifts(datum, sing))
 
+
+def boundary_entries(labels, n_components, cycles, branches, shifts,
+                     memo: dict | None = None) -> tuple[Boundary2Branch, ...]:
+    """The boundary entry of each singular branch i with shift k_i, on a fibre
+    graph's component ``labels`` and shift ``cycles``: all they read of a datum.
+    A sweep's ``memo`` reduces each distinct ``(m_i, k_i)`` once."""
     entries = []
-    for i in sing:
-        off, m = graph.shift_cycles[i]  # the sheets of branch i
-        k = vertical_shift(datum, i)
+    for i, k in zip(branches, shifts):
+        off, m = cycles[i]  # the sheets of branch i
         g = gcd(m, k)
         pres = memoized(memo, (m, k), lambda: cokernel(shift_minus_identity(m, k)))
         if pres.free_rank != g or pres.torsion:

@@ -17,14 +17,25 @@ from math import gcd
 from time import perf_counter
 
 from .datum import CorpusBounds, EquisingularDatum, enumerate_corpus
+from . import fibre
 from .errors import CurveSpecError
-from .fibre import analyse, component_monodromy, divide_by_gcd, euler_characteristic_closed
+from .fibre import (
+    FibreGraph,
+    divide_by_gcd,
+    euler_characteristic_closed,
+    graph_shape,
+    memoized,
+    weighed_counts,
+)
 from .invariants import (
-    beta,
-    boundary2_components,
+    BetaReport,
+    Boundary2Branch,
+    beta_report,
+    boundary_entries,
     is_power_of_smooth,
     mu_reduced,
     singular_branches,
+    vertical_shifts,
 )
 
 
@@ -46,140 +57,203 @@ class SweepResult:
     elapsed: float
 
 
+# --- the facts the properties read ------------------------------------------
+
+@dataclass
+class Shape:
+    """What every datum of one graph shape shares, found once from the fibre
+    graph of the first one seen: the graph and its facts, each network node's
+    weights and the branch or pair whose delta_i or I_ij is its copies, and,
+    once a property reads them, the gcd-reduced datum's shape and the boundary
+    entries by shifts.  The datums of a block (one branch-type tuple) share one
+    shape, and so may several blocks."""
+
+    graph: FibreGraph  # its monodromy is checked only when a property reads it
+    d: int  # components, from the labels
+    gcd: int  # of the multiplicities
+    xr: bool  # the structural verdict: a power of a smooth branch
+    sheets: int
+    sources: tuple[tuple[int, int | None], ...]  # (i, j): I_ij, or delta_i for j None
+    singular: tuple[int, ...]
+    fibre_sizes: tuple[int, ...]  # transversal points of each singular branch
+    entries: dict  # shifts k_i -> boundary entries
+    reduced: Shape | None = None  # of the gcd-reduced datum, when the gcd is above 1
+
+
+def _shape(datum: EquisingularDatum, memo: dict | None) -> Shape:
+    """The shape of a datum, kept in a sweep's ``memo``."""
+    def make():
+        # not kept on the datum (as analyse keeps it), so that no datum-graph
+        # cycle outlives the sweep; looked up at call time, as tests corrupt it
+        graph = fibre.build_fibre_graph(datum)
+        singular = tuple(singular_branches(datum))
+        return Shape(graph, graph.d, gcd(*datum.multiplicities), is_power_of_smooth(datum),
+                     sum(datum.multiplicities), tuple((n.i, n.j) for n in graph.network),
+                     singular, tuple(datum.branches[i].multiplicity for i in singular), {})
+    return memoized(memo, ("shape", graph_shape(datum)), make)
+
+
+@dataclass(slots=True)
+class Facts:
+    """One datum's facts: its shape, its copies, V - E and b1 from them, the
+    beta report (None without a singular set), and its boundary entries once read."""
+
+    datum: EquisingularDatum
+    shape: Shape
+    memo: dict | None
+    copies: list[int]
+    chi: int
+    b1: int
+    rep: BetaReport | None
+    entries: tuple[Boundary2Branch, ...] | None = None
+
+    def reduced(self) -> tuple[int, int, int]:
+        """(b0, b1, chi) of the gcd-reduced datum, on the same copies."""
+        shape = reduced = self.shape
+        if shape.gcd > 1:
+            if shape.reduced is None:
+                shape.reduced = _shape(divide_by_gcd(self.datum)[1], self.memo)
+            reduced = shape.reduced
+        vertices, edges = weighed_counts(reduced.sheets, reduced.graph.weights, self.copies)
+        return reduced.d, reduced.d - (vertices - edges), vertices - edges
+
+    def boundary(self) -> tuple[Boundary2Branch, ...]:
+        if self.entries is None:
+            shape = self.shape
+            shifts = vertical_shifts(self.datum, shape.singular)
+            self.entries = memoized(shape.entries, shifts, lambda: boundary_entries(
+                shape.graph.labels, shape.d, shape.graph.shift_cycles, shape.singular,
+                shifts, self.memo))
+        return self.entries
+
+
+def datum_facts(datum: EquisingularDatum, memo: dict | None = None) -> Facts:
+    """The facts of one datum: its shape's, then O(r^2) integer work.  In a
+    sweep's ``memo`` the datums of one block find their shape by the identity
+    of their ``branches``."""
+    last = memo.get(None) if memo is not None else None  # (branches, shape) seen last
+    if last is not None and last[0] is datum.branches:
+        shape = last[1]
+    else:
+        shape = _shape(datum, memo)
+        if memo is not None:
+            memo[None] = (datum.branches, shape)
+    branches, rows = datum.branches, datum.intersections
+    copies = [branches[i].delta if j is None else rows[i][j] for i, j in shape.sources]
+    vertices, edges = weighed_counts(shape.sheets, shape.graph.weights, copies)
+    chi = vertices - edges
+    b1 = shape.d - chi
+    rep = beta_report(shape.d, b1, chi, shape.fibre_sizes, shape.xr) if shape.singular else None
+    return Facts(datum, shape, memo, copies, chi, b1, rep)
+
+
 # --- property checks -------------------------------------------------------
-# each takes the datum's FibreGraph, its beta report (None without a singular set),
-# `boundary`, which builds its boundary entries on the first call (only coker-rank and
-# upper-bound call it), and the sweep's memo; returns (expected, got) pairs
+# each takes a datum's Facts and yields its (expected, got) pairs; only
+# coker-rank and upper-bound read the boundary entries
 
-def _prop_lemma_d_gcd(graph, rep, boundary, memo):
-    expected = gcd(*graph.datum.multiplicities)
-    if graph.d != expected:
-        return [(f"b0 = gcd(m_i) = {expected}", f"b0 = {graph.d}")]
-    return []
+def _prop_lemma_d_gcd(f):
+    expected = f.shape.gcd
+    if f.shape.d != expected:
+        yield f"b0 = gcd(m_i) = {expected}", f"b0 = {f.shape.d}"
 
 
-def _prop_two_route_chi(graph, rep, boundary, memo):
-    closed = euler_characteristic_closed(graph.datum)
-    if graph.chi != closed:
-        return [(f"V - E = closed form = {closed}", f"V - E = {graph.chi}")]
-    return []
+def _prop_two_route_chi(f):
+    closed = euler_characteristic_closed(f.datum)
+    if f.chi != closed:
+        yield f"V - E = closed form = {closed}", f"V - E = {f.chi}"
 
 
-def _prop_mu_reduced(graph, rep, boundary, memo):
-    if rep is not None:  # some m_i >= 2: not a reduced curve
-        return []
-    expected = mu_reduced(graph.datum)
-    if graph.b1 != expected:
-        return [(f"b1 = 2*delta_total - r + 1 = {expected}", f"b1 = {graph.b1}")]
-    return []
+def _prop_mu_reduced(f):
+    if f.rep is None:  # every m_i is 1: a reduced curve
+        expected = mu_reduced(f.datum)
+        if f.b1 != expected:
+            yield f"b1 = 2*delta_total - r + 1 = {expected}", f"b1 = {f.b1}"
 
 
-def _prop_divide_by_gcd(graph, rep, boundary, memo):
-    d, reduced = divide_by_gcd(graph.datum)
-    rgraph = analyse(reduced, memo)
-    out = []
-    triple = (graph.d, graph.b1, graph.chi)
-    scaled = tuple(d * x for x in (rgraph.d, rgraph.b1, rgraph.chi))
+def _prop_divide_by_gcd(f):
+    reduced = f.reduced()
+    triple = (f.shape.d, f.b1, f.chi)
+    scaled = tuple(f.shape.gcd * x for x in reduced)
     if triple != scaled:
-        out.append((f"(b0, b1, chi) = d * reduced = {scaled}", f"{triple}"))
-    if rgraph.d != 1:
-        out.append(("reduced fibre connected (b0 = 1)", f"b0 = {rgraph.d}"))
-    return out
+        yield f"(b0, b1, chi) = d * reduced = {scaled}", f"{triple}"
+    if reduced[0] != 1:
+        yield "reduced fibre connected (b0 = 1)", f"b0 = {reduced[0]}"
 
 
-def _prop_monodromy_cycle(graph, rep, boundary, memo):
-    mono = component_monodromy(graph.datum)
-    if mono.cycle_type != (graph.d,):
-        return [(f"cycle type [{graph.d}]", f"{list(mono.cycle_type)}")]
-    return []
+def _prop_monodromy_cycle(f):
+    d, mono = f.shape.d, f.shape.graph.monodromy
+    if mono.cycle_type != (d,):
+        yield f"cycle type [{d}]", f"{list(mono.cycle_type)}"
 
 
-def _prop_b1_zero_iff_xr(graph, rep, boundary, memo):
-    datum = graph.datum
-    if is_power_of_smooth(datum) != (graph.b1 == 0):
-        return [(
-            "b1 = 0 exactly for a power of a smooth branch",
-            f"r = {datum.r}, delta = {list(datum.deltas)}, b1 = {graph.b1}",
-        )]
-    return []
+def _prop_b1_zero_iff_xr(f):
+    if f.shape.xr != (f.b1 == 0):
+        yield ("b1 = 0 exactly for a power of a smooth branch",
+               f"r = {f.datum.r}, delta = {list(f.datum.deltas)}, b1 = {f.b1}")
 
 
-def _prop_beta_nonneg(graph, rep, boundary, memo):
-    if rep.beta < 0:
-        return [("beta >= 0", f"beta = {rep.beta}")]
-    return []
+def _prop_beta_nonneg(f):
+    if f.rep.beta < 0:
+        yield "beta >= 0", f"beta = {f.rep.beta}"
 
 
-def _prop_corollary_beta0(graph, rep, boundary, memo):
+def _prop_corollary_beta0(f):
+    rep = f.rep
     if rep.c1_beta_zero != rep.verdict_bobadilla:
-        return [(
-            "beta = 0 exactly for a power of a smooth branch",
-            f"beta = {rep.beta}, structural verdict = {rep.verdict_bobadilla}",
-        )]
-    return []
+        yield ("beta = 0 exactly for a power of a smooth branch",
+               f"beta = {rep.beta}, structural verdict = {rep.verdict_bobadilla}")
 
 
-def _prop_c1_iff_c3(graph, rep, boundary, memo):
+def _prop_c1_iff_c3(f):
+    rep = f.rep
     if rep.c1_beta_zero != rep.c3_homology_form:
-        return [(
-            "C1 (beta = 0) equivalent to C3 (b1 = 0 and b0 - 1 = sum mu_perp)",
-            f"C1 = {rep.c1_beta_zero}, C3 = {rep.c3_homology_form}",
-        )]
-    return []
+        yield ("C1 (beta = 0) equivalent to C3 (b1 = 0 and b0 - 1 = sum mu_perp)",
+               f"C1 = {rep.c1_beta_zero}, C3 = {rep.c3_homology_form}")
 
 
-def _prop_coker_rank(graph, rep, boundary, memo):
-    out = []
-    d = graph.d
-    for entry in boundary():
-        m = graph.datum.branches[entry.branch].multiplicity
-        # independent orbit oracle for the shift a -> a + k (mod m)
-        seen = set()
-        orbits = 0
-        for start in range(m):
-            if start in seen:
-                continue
-            orbits += 1
-            a = start
-            while a not in seen:
-                seen.add(a)
-                a = (a + entry.shift) % m
+def _orbits(m: int, k: int) -> int:
+    """Orbits of the shift a -> a + k (mod m), each followed round: an oracle
+    independent of both gcd and the cokernel."""
+    seen, orbits = set(), 0
+    for start in range(m):
+        orbits += start not in seen
+        a = start
+        while a not in seen:
+            seen.add(a)
+            a = (a + k) % m
+    return orbits
+
+
+def _prop_coker_rank(f):
+    d = f.shape.d
+    for entry in f.boundary():
+        m, k = f.datum.branches[entry.branch].multiplicity, entry.shift
+        # kept beside the cokernel of the same (m, k) in a sweep's memo
+        orbits = memoized(f.memo, ("orbits", m, k), lambda: _orbits(m, k))
         if entry.coker.free_rank != orbits or entry.coker.torsion:
-            out.append((
-                f"branch {entry.branch + 1}: coker(A - I) free of rank {orbits}",
-                f"rank {entry.coker.free_rank}, torsion {list(entry.coker.torsion)}",
-            ))
+            yield (f"branch {entry.branch + 1}: coker(A - I) free of rank {orbits}",
+                   f"rank {entry.coker.free_rank}, torsion {list(entry.coker.torsion)}")
         if entry.components % d != 0:
-            out.append((
-                f"branch {entry.branch + 1}: d | gcd(m, k)",
-                f"d = {d}, gcd = {entry.components}",
-            ))
+            yield (f"branch {entry.branch + 1}: d | gcd(m, k)",
+                   f"d = {d}, gcd = {entry.components}")
         if not entry.chain_ok:
-            out.append((
-                f"branch {entry.branch + 1}: boundary components map onto fibre components",
-                "chain_ok = False",
-            ))
-    return out
+            yield (f"branch {entry.branch + 1}: boundary components map onto fibre components",
+                   "chain_ok = False")
 
 
-def _prop_upper_bound(graph, rep, boundary, memo):
-    verdict = rep.upper_bound(boundary)
+def _prop_upper_bound(f):
+    verdict = f.rep.upper_bound(f.boundary)
     if verdict.hypothesis and not verdict.conclusion_holds:
-        return [(
-            "rank bound attained forces identity vertical monodromies",
-            f"cokernels_free = {verdict.cokernels_free}, "
-            f"shifts_identity = {verdict.shifts_identity}",
-        )]
-    return []
+        yield ("rank bound attained forces identity vertical monodromies",
+               f"cokernels_free = {verdict.cokernels_free}, "
+               f"shifts_identity = {verdict.shifts_identity}")
 
 
-def _prop_chi_form(graph, rep, boundary, memo):
+def _prop_chi_form(f):
+    rep = f.rep
     if rep.c1_beta_zero and not rep.c2_chi_form:
-        return [(
-            "beta = 0 implies chi(F) = 1 - sum mu_perp",
-            f"beta = 0, chi-form false (b0 = {rep.b0}, b1 = {rep.b1})",
-        )]
-    return []
+        yield ("beta = 0 implies chi(F) = 1 - sum mu_perp",
+               f"beta = 0, chi-form false (b0 = {rep.b0}, b1 = {rep.b1})")
 
 
 # name, check, its findings are documented (so it is opt-in), needs a singular set
@@ -226,23 +300,13 @@ _CHUNKSIZE = 64
 
 
 def check_datum(datum: EquisingularDatum, names, memo: dict | None = None) -> list[Violation]:
-    graph = analyse(datum, memo)
-    rep = beta(datum) if singular_branches(datum) else None
-    # a closure, not functools.cache, which spends about 6 us per datum
-    # (CPython 3.11) on the wrapper even when no property reads the boundary
-    built = []
-
-    def boundary():
-        if not built:
-            built.append(boundary2_components(datum, memo))
-        return built[0]
-
+    facts = datum_facts(datum, memo)
     violations = []
     for name in names:
         fn, documented, singular = _TABLE[name]
-        if singular and rep is None:
+        if singular and facts.rep is None:
             continue
-        for expected, got in fn(graph, rep, boundary, memo):
+        for expected, got in fn(facts):
             violations.append(Violation(datum, name, expected, got, documented))
     return violations
 
@@ -251,8 +315,9 @@ def run_sweep(bounds: CorpusBounds, properties=None, jobs: int = 1) -> SweepResu
     """Check the corpus as it is enumerated; violations keep enumeration
     order at any job count, because both maps below preserve it."""
     names = resolve_properties(properties)
-    # the sweep's memo: graphs by shape, cokernels by (m, k), dropped with
-    # `check`; at --jobs > 1 each chunk gets a copy of it, empty
+    # the sweep's memo: shape facts and graphs by shape, cokernels and orbit
+    # counts by (m, k), dropped with `check`; at --jobs > 1 each chunk gets a
+    # copy of it, empty
     check = partial(check_datum, names=names, memo={})
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))  # honours taskset and cpusets

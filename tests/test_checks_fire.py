@@ -21,10 +21,15 @@ from milnor_lab import (
     make_datum,
 )
 from milnor_lab.cli import main
-from milnor_lab.fibre import FibreGraph, analyse
+from milnor_lab.fibre import FibreGraph
 from milnor_lab.intlinalg import CokernelPresentation
-from milnor_lab.invariants import singular_branches
-from milnor_lab.sweep import ALL_PROPERTIES, _TABLE, _prop_divide_by_gcd, check_datum
+from milnor_lab.sweep import (
+    ALL_PROPERTIES,
+    _TABLE,
+    _prop_divide_by_gcd,
+    check_datum,
+    datum_facts,
+)
 
 M46 = '{"family":"monomial","p":4,"q":6}'
 
@@ -42,21 +47,26 @@ def _node():
     return make_datum([(1, 0), (1, 0)], [[0, 1], [1, 0]])  # reduced, mu = 1
 
 
-def _edge_count_plus_one(graph, rep, entries):
-    return replace(graph, edge_count=graph.edge_count + 1), rep, entries
+# each break takes a datum's sweep facts and returns them with one part broken
+
+def _edge_count_plus_one(facts):
+    # one more edge in the full expansion: V - E falls by one, b1 rises by one
+    return replace(facts, chi=facts.chi - 1, b1=facts.b1 + 1)
 
 
-def _no_edges(graph, rep, entries):
-    return replace(graph, edges=()), rep, entries
+def _no_edges(facts):
+    # a graph without edges: each of the 12 built vertices of x^4 y^6 is a component
+    return replace(facts, shape=replace(facts.shape, d=12))
 
 
 def _rep(**change):
-    return lambda graph, rep, entries: (graph, replace(rep, **change), entries)
+    return lambda facts: replace(facts, rep=replace(facts.rep, **change))
 
 
 def _first_branch(**change):
-    def brk(graph, rep, entries):
-        return graph, rep, (replace(entries[0], **change),) + entries[1:]
+    def brk(facts):
+        entries = facts.boundary()
+        return replace(facts, entries=(replace(entries[0], **change),) + entries[1:])
     return brk
 
 
@@ -104,19 +114,19 @@ def test_every_property_has_a_break():
                          ids=[f"{case[0]}-{n}" for n, case in enumerate(BREAKS)])
 def test_property_fires_on_its_break(name, make, brk, expected, monkeypatch):
     datum = make()
-    graph = analyse(datum)
-    rep = beta(datum) if singular_branches(datum) else None
-    entries = boundary2_components(datum) if rep is not None else None
+    facts = datum_facts(datum)
+    # the sweep's facts are the analyze path's
+    if facts.rep is not None:
+        assert facts.rep == beta(datum) and facts.boundary() == boundary2_components(datum)
     fn = _TABLE[name][0]
-    assert fn(graph, rep, lambda: entries, None) == []
-    graph, rep, entries = brk(graph, rep, entries)
-    assert fn(graph, rep, lambda: entries, None) == expected
+    assert list(fn(facts)) == []
+    broken = brk(facts)
+    assert list(fn(broken)) == expected
     # through check_datum, on the same break: only prop2-chi-form's findings are documented
-    vars(datum)["_fibre_graph"] = graph
-    monkeypatch.setattr(milnor_lab.sweep, "beta", lambda _: rep)
-    monkeypatch.setattr(milnor_lab.sweep, "boundary2_components", lambda _, memo: entries)
+    monkeypatch.setattr(milnor_lab.sweep, "datum_facts", lambda _, memo: broken)
     found = check_datum(datum, (name,))
     assert found and {v.documented for v in found} == {name == "prop2-chi-form"}
+    assert [(v.expected, v.got) for v in found] == expected
 
 
 def _corrupt_graphs(monkeypatch, **change):
@@ -134,8 +144,8 @@ def test_divide_by_gcd_fires_on_a_disconnected_reduced_fibre(monkeypatch):
     # gcd 1, so the datum is its own reduced datum; without the edge that
     # joins the last sheet to the one annulus, that sheet is a component
     _corrupt_graphs(monkeypatch, edges=lambda g: g.edges[:-1])
-    graph = analyse(make_datum([(2, 0), (3, 0)], [[0, 1], [1, 0]]))
-    assert _prop_divide_by_gcd(graph, None, None, None) == [
+    facts = datum_facts(make_datum([(2, 0), (3, 0)], [[0, 1], [1, 0]]))
+    assert list(_prop_divide_by_gcd(facts)) == [
         ("reduced fibre connected (b0 = 1)", "b0 = 2"),
     ]
 

@@ -176,9 +176,9 @@ def test_analyze_dump_snf_sees_no_dense_matrix(capsys, monkeypatch):
     original = milnor_lab.intlinalg.smith_normal_form
     shapes = []
 
-    def recording(matrix):
+    def recording(matrix, *rest):
         shapes.append((matrix.rows, matrix.cols))
-        return original(matrix)
+        return original(matrix, *rest)
 
     monkeypatch.setattr(milnor_lab.intlinalg, "smith_normal_form", recording)
     monkeypatch.setattr(milnor_lab.report, "smith_normal_form", recording, raising=False)

@@ -1,5 +1,7 @@
 """Fibre graph model: structure, two-route invariants, monodromy."""
 
+import dataclasses
+import gc
 import pickle
 import random
 from math import gcd
@@ -182,16 +184,24 @@ def test_one_graph_per_datum_object(monkeypatch):
 
 
 def test_datum_with_list_rows_analyses():
-    datum = EquisingularDatum((Branch(2, 1), Branch(3, 0)), [[0, 2], [2, 0]])
     expected = make_datum([(2, 1), (3, 0)], [[0, 2], [2, 0]])
-    assert build_analysis(datum) == build_analysis(expected)
+    everything = milnor_lab.sweep.ALL_PROPERTIES
+    for branches in ((Branch(2, 1), Branch(3, 0)), [Branch(2, 1), Branch(3, 0)]):
+        datum = EquisingularDatum(branches, [[0, 2], [2, 0]])
+        # the lists became tuples: the datum hashes, and equals the one built from tuples
+        assert datum == expected and hash(datum) == hash(expected)
+        assert build_analysis(datum) == build_analysis(expected)
+        assert (milnor_lab.sweep.check_datum(datum, everything, memo={})
+                == milnor_lab.sweep.check_datum(expected, everything, memo={}))
 
 
 def test_checked_datum_pickles_as_its_two_fields():
     # a Violation from a worker carries its datum back to the parent; the
-    # graph kept on the datum stays behind
+    # sweep keeps no graph on the datum, and one the analyze path keeps stays behind
     datum = make_datum([(4, 1), (6, 2)], [[0, 5], [5, 0]])
     assert milnor_lab.sweep.check_datum(datum, milnor_lab.sweep.ALL_PROPERTIES) == []
+    assert "_fibre_graph" not in vars(datum)
+    analyse(datum)
     assert "_fibre_graph" in vars(datum)
     copy = pickle.loads(pickle.dumps(datum))
     assert sorted(vars(copy)) == ["branches", "intersections"]
@@ -200,10 +210,12 @@ def test_checked_datum_pickles_as_its_two_fields():
 
 
 def test_check_datum_runs_the_closed_form_once(monkeypatch):
-    closed_forms = _count_calls(monkeypatch, milnor_lab.fibre, "euler_characteristic_closed")
+    # wherever it is looked up: the sweep calls it by its own module global
+    in_fibre = _count_calls(monkeypatch, milnor_lab.fibre, "euler_characteristic_closed")
+    in_sweep = _count_calls(monkeypatch, milnor_lab.sweep, "euler_characteristic_closed")
     datum = make_datum([(4, 1), (6, 2)], [[0, 5], [5, 0]])
     assert milnor_lab.sweep.check_datum(datum, milnor_lab.sweep.DEFAULT_PROPERTIES) == []
-    assert len(closed_forms) == 1
+    assert len(in_fibre) + len(in_sweep) == 1
 
 
 def test_boundary_route_runs_once_per_datum(monkeypatch):
@@ -233,21 +245,23 @@ def test_boundary_route_runs_once_per_datum(monkeypatch):
 
 def test_sweep_memo_graph_matches_a_fresh_build(monkeypatch):
     # one memo over the corpus, as a sweep holds it: a datum whose shape was
-    # built before gets its graph on the kept one's edges and must not differ
+    # built before reads the kept graph, weighs it with its own copies, and
+    # must not differ from a fresh build
     builds = _count_calls(monkeypatch, milnor_lab.fibre, "build_fibre_graph")
     memo = {}
     shared = 0
     for datum in enumerate_corpus(CorpusBounds(3, 3, 2, 2)):
         built = len(builds)
-        graph = analyse(datum, memo)
+        facts = milnor_lab.sweep.datum_facts(datum, memo)
         fresh = build_fibre_graph(datum)
         shared += len(builds) == built  # a memo hit builds nothing
-        for name in ("edges", "shift_cycles", "size", "vertex_count", "edge_count",
-                     "labels", "d", "monodromy", "summary"):
-            assert getattr(graph, name) == getattr(fresh, name), (datum, name)
-        if milnor_lab.invariants.singular_branches(datum):
+        for name in ("edges", "shift_cycles", "size", "weights", "labels", "d", "monodromy"):
+            assert getattr(facts.shape.graph, name) == getattr(fresh, name), (datum, name)
+        summary = fresh.summary
+        assert (facts.shape.d, facts.b1, facts.chi) == (summary.d, summary.b1, summary.chi)
+        if facts.rep is not None:
             twin = EquisingularDatum(datum.branches, datum.intersections)
-            assert boundary2_components(datum, memo) == boundary2_components(twin)
+            assert facts.boundary() == boundary2_components(twin)
     assert shared > 0  # not vacuous
 
 
@@ -263,6 +277,19 @@ def test_sweep_memo_lives_one_sweep(monkeypatch):
     assert counts[0] == counts[1]
     assert 0 < counts[0][0] < result.checked and 0 < counts[0][1]
 
+
+def test_sweep_leaves_no_reference_cycle():
+    # a cycle outlives the sweep until a full collection, which a sweep that
+    # allocates little seldom sets off: repeated sweeps in one process would grow
+    gc.collect()
+    gc.disable()
+    try:
+        milnor_lab.sweep.run_sweep(CorpusBounds(3, 3, 1, 2))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_check_datum_property_alone_matches_full_suite():
     sweep = milnor_lab.sweep
     found = set()
@@ -275,13 +302,61 @@ def test_check_datum_property_alone_matches_full_suite():
 
 
 def test_check_datum_reads_beta_once_per_singular_datum(monkeypatch):
-    calls = _count_calls(monkeypatch, milnor_lab.sweep, "beta")
+    reports = []
+    real = milnor_lab.sweep.beta_report
+
+    def counted(*args):
+        reports.append(real(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(milnor_lab.sweep, "beta_report", counted)
     reduced = make_datum([(1, 2), (1, 0)], [[0, 3], [3, 0]])
     assert milnor_lab.sweep.check_datum(reduced, milnor_lab.sweep.DEFAULT_PROPERTIES) == []
-    assert calls == []
+    assert reports == []
     singular = make_datum([(4, 1), (6, 2)], [[0, 5], [5, 0]])
     assert milnor_lab.sweep.check_datum(singular, milnor_lab.sweep.DEFAULT_PROPERTIES) == []
-    assert calls == [singular]
+    # one report, and it is the one beta() gives on the analyze path
+    assert reports == [beta(make_datum([(4, 1), (6, 2)], [[0, 5], [5, 0]]))]
+
+
+@pytest.mark.parametrize("bounds", [CorpusBounds(3, 3, 2, 2), CorpusBounds(2, 8, 2, 2)])
+def test_sweep_facts_match_the_analyze_report(bounds):
+    # the sweep's per-shape records and O(r^2) pass against the analyze path,
+    # the oracle: every datum's facts, read from one memo as a sweep holds it,
+    # equal the report of a fresh twin datum
+    memo = {}
+    singular = 0
+    for datum in enumerate_corpus(bounds):
+        facts = milnor_lab.sweep.datum_facts(datum, memo)
+        twin = EquisingularDatum(datum.branches, datum.intersections)
+        report = build_analysis(twin)
+        fibre = report["fibre"]
+        assert (facts.shape.d, facts.b1, facts.chi) == (fibre["d"], fibre["b1"], fibre["chi"])
+        assert facts.shape.gcd == fibre["reduced"]["d"]
+        reduced = fibre_summary(divide_by_gcd(twin)[1])
+        assert facts.reduced() == (reduced.d, reduced.b1, reduced.chi), datum
+        assert facts.shape.xr == report["xr_verdict"]["is_xr"]
+        if facts.rep is None:
+            assert report["beta"] is None and report["vertical"] == []
+            continue
+        singular += 1
+        rep = facts.rep
+        assert report["beta"] == {
+            "value": rep.beta, "b1": rep.b1, "b0": rep.b0,
+            "total_transversal_points": rep.total_transversal_points,
+            "singular_branch_count": rep.singular_branch_count,
+            "criteria": {"C1": rep.c1_beta_zero, "C2": rep.c2_chi_form,
+                         "C3": rep.c3_homology_form},
+            "verdict_bobadilla": rep.verdict_bobadilla,
+        }
+        assert report["vertical"] == [
+            {"branch": e.branch + 1, "k": e.shift, "components": e.components,
+             "coker_free_rank": e.coker.free_rank, "coker_torsion": list(e.coker.torsion),
+             "chain_ok": e.chain_ok}
+            for e in facts.boundary()
+        ], datum
+        assert report["upper_bound"] == dataclasses.asdict(rep.upper_bound(facts.boundary))
+    assert singular > 100  # not vacuous
 
 
 def test_structural_invariants_over_corpus():

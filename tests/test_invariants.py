@@ -167,9 +167,9 @@ def test_boundary2_dense_smith_form_sees_no_columns(monkeypatch):
     original = milnor_lab.intlinalg.smith_normal_form
     shapes = []
 
-    def recording(matrix):
+    def recording(matrix, *rest):
         shapes.append((matrix.rows, matrix.cols))
-        return original(matrix)
+        return original(matrix, *rest)
 
     monkeypatch.setattr(milnor_lab.intlinalg, "smith_normal_form", recording)
     entries = boundary2_components(from_monomial(200, 199))

@@ -29,7 +29,7 @@ COUNTED = {
     "graph_builds": ("build_fibre_graph", (milnor_lab.fibre,)),
     "network_builds": ("build_network", (milnor_lab.fibre,)),
     "cokernels": ("cokernel", (milnor_lab.invariants,)),
-    "boundaries": ("boundary2_components", (milnor_lab.sweep, milnor_lab.report)),
+    "boundaries": ("boundary_entries", (milnor_lab.invariants, milnor_lab.sweep)),
     "closed_form_chi": ("euler_characteristic_closed", (milnor_lab.fibre, milnor_lab.sweep)),
     "validations": ("validate", (milnor_lab.datum,)),
 }

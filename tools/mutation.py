@@ -33,7 +33,7 @@ COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 MUTANTS = {
     "orbit-oracle-step-1": (
         "src/milnor_lab/sweep.py",
-        "a = (a + entry.shift) % m",
+        "a = (a + k) % m",
         "a = (a + 1) % m",
     ),
     "validate-drops-meet": (
@@ -53,7 +53,7 @@ MUTANTS = {
     ),
     "divide-by-gcd-drops-connected": (
         "src/milnor_lab/sweep.py",
-        "if rgraph.d != 1:",
+        "if reduced[0] != 1:",
         "if False:",
     ),
     "upper-bound-ignores-shifts": (
@@ -68,7 +68,7 @@ MUTANTS = {
     ),
     "monodromy-cycle-inert": (
         "src/milnor_lab/sweep.py",
-        "if mono.cycle_type != (graph.d,):",
+        "if mono.cycle_type != (d,):",
         "if False:",
     ),
     "upper-bound-no-early-return": (
@@ -78,18 +78,18 @@ MUTANTS = {
     ),
     "lemma-d-gcd-builds-boundary": (
         "src/milnor_lab/sweep.py",
-        "expected = gcd(*graph.datum.multiplicities)",
-        "expected = gcd(*graph.datum.multiplicities) if rep is None or boundary() else 0",
+        "expected = f.shape.gcd",
+        "expected = f.shape.gcd if f.rep is None or f.boundary() else 0",
     ),
     "graph-drops-copies-weight": (
         "src/milnor_lab/fibre.py",
-        "edge_count += node.copies * built",
+        "edge_count += c * built",
         "edge_count += built",
     ),
     "graph-shape-keyed-on-multiplicity": (
         "src/milnor_lab/fibre.py",
-        "shape = tuple((b.multiplicity, b.delta >= 1) for b in datum.branches)",
-        "shape = tuple((b.multiplicity,) for b in datum.branches)",
+        "return tuple((b.multiplicity, b.delta >= 1) for b in datum.branches)",
+        "return tuple((b.multiplicity,) for b in datum.branches)",
     ),
     "cokernel-keyed-on-m": (
         "src/milnor_lab/invariants.py",
@@ -105,6 +105,16 @@ MUTANTS = {
         "src/milnor_lab/datum.py",
         "if violations:",
         "if False:",
+    ),
+    "sweep-shape-key-drops-delta": (
+        "src/milnor_lab/sweep.py",
+        'return memoized(memo, ("shape", graph_shape(datum)), make)',
+        'return memoized(memo, ("shape", datum.multiplicities), make)',
+    ),
+    "sweep-copies-from-first-datum": (
+        "src/milnor_lab/sweep.py",
+        "branches, rows = datum.branches, datum.intersections",
+        "branches, rows = datum.branches, shape.graph.datum.intersections",
     ),
     "chi-form-row-undocumented": (
         "src/milnor_lab/sweep.py",
