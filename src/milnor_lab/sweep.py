@@ -131,13 +131,13 @@ def datum_facts(datum: EquisingularDatum, memo: dict | None = None) -> Facts:
     """The facts of one datum: its shape's, then O(r^2) integer work.  In a
     sweep's ``memo`` the datums of one block find their shape by the identity
     of their ``branches``."""
-    last = memo.get(None) if memo is not None else None  # (branches, shape) seen last
+    last = memo.get("last block") if memo is not None else None  # (branches, shape)
     if last is not None and last[0] is datum.branches:
         shape = last[1]
     else:
         shape = _shape(datum, memo)
         if memo is not None:
-            memo[None] = (datum.branches, shape)
+            memo["last block"] = (datum.branches, shape)
     branches, rows = datum.branches, datum.intersections
     copies = [branches[i].delta if j is None else rows[i][j] for i, j in shape.sources]
     vertices, edges = weighed_counts(shape.sheets, shape.graph.weights, copies)
