@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import sys
 from dataclasses import dataclass
 from math import gcd
@@ -333,6 +334,31 @@ def _stabilizer_perms(branch_types):
         yield tuple(itertools.chain.from_iterable(combo))
 
 
+def _canonical_matrices(branch_types, levels):
+    """Rows of each canonical matrix of a block, entries from ``levels``, in
+    ascending order of the upper triangle: no branch-type-preserving permutation
+    gives a smaller one.  They depend only on the run lengths of the types."""
+    r = len(branch_types)
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    position = {pair: n for n, pair in enumerate(pairs)}
+    stab = []  # each permutation as a getter of the permuted upper triangle
+    for perm in _stabilizer_perms(branch_types):
+        moved = [position[min(perm[i], perm[j]), max(perm[i], perm[j])] for i, j in pairs]
+        # one that fixes every position is skipped: with r = 2 the getter of
+        # the one edge would return an int, not a tuple
+        if moved != list(range(len(pairs))):
+            stab.append(operator.itemgetter(*moved))
+    kept = []
+    for ivec in itertools.product(levels, repeat=len(pairs)):
+        if any(p(ivec) < ivec for p in stab):
+            continue
+        matrix = [[0] * r for _ in range(r)]
+        for (i, j), v in zip(pairs, ivec):
+            matrix[i][j] = matrix[j][i] = v
+        kept.append(tuple(map(tuple, matrix)))
+    return kept
+
+
 def enumerate_corpus(bounds: CorpusBounds):
     """Yield every valid datum within the bounds, one per isomorphism class.
 
@@ -341,7 +367,9 @@ def enumerate_corpus(bounds: CorpusBounds):
     triangle of I row-major, ascending.  Of each class only the
     lexicographically least labelled representative is yielded, so the
     stream is deterministic and free of branch-permutation duplicates.
-    The datums of one branch-type tuple (a block) share one ``branches``.
+    The datums of one branch-type tuple (a block) share one ``branches``,
+    and the blocks of one run structure share their matrices' rows, found
+    when the first such block is reached.
     """
     if bounds.max_branches < 1 or bounds.max_multiplicity < 1:
         raise CurveSpecError("corpus bounds: max_branches and max_multiplicity must be >= 1")
@@ -352,32 +380,13 @@ def enumerate_corpus(bounds: CorpusBounds):
         for m in range(1, bounds.max_multiplicity + 1)
         for d in range(0, bounds.max_delta + 1)
     ]
+    levels = range(1, bounds.max_intersection + 1)
+    canonical = {}  # run lengths -> rows of each canonical matrix
     for r in range(1, bounds.max_branches + 1):
-        n_edges = r * (r - 1) // 2
         for branch_types in itertools.combinations_with_replacement(pair_types, r):
             branches = tuple(Branch(m, d) for m, d in branch_types)  # one per block
-            stab = [p for p in _stabilizer_perms(branch_types) if p != tuple(range(r))]
-            for ivec in itertools.product(
-                range(1, bounds.max_intersection + 1), repeat=n_edges
-            ):
-                matrix = [[0] * r for _ in range(r)]
-                pos = 0
-                for i in range(r):
-                    for j in range(i + 1, r):
-                        matrix[i][j] = matrix[j][i] = ivec[pos]
-                        pos += 1
-                if stab and not _is_canonical(matrix, ivec, stab, r):
-                    continue
-                yield EquisingularDatum(branches, matrix)
-
-
-def _is_canonical(matrix, ivec, stab, r):
-    # the candidate is canonical iff no branch-type-preserving permutation
-    # produces a lexicographically smaller upper triangle
-    for perm in stab:
-        permuted = tuple(
-            matrix[perm[i]][perm[j]] for i in range(r) for j in range(i + 1, r)
-        )
-        if permuted < ivec:
-            return False
-    return True
+            runs = tuple(len(list(g)) for _, g in itertools.groupby(branch_types))
+            if runs not in canonical:
+                canonical[runs] = _canonical_matrices(branch_types, levels)
+            for rows in canonical[runs]:
+                yield EquisingularDatum(branches, rows)

@@ -199,13 +199,12 @@ def euler_characteristic_closed(datum: EquisingularDatum) -> int:
     """chi(F) = sum_i m_i (1 - 2 delta_i - sum_{j != i} I_ij).
 
     Bookkeeping of the construction: m_i sheets per branch, p + q deleted
-    boundary discs per D[p,q] point, annuli contributing chi = 0.
+    boundary discs per D[p,q] point, annuli contributing chi = 0.  The
+    diagonal of I is 0 in every datum (the construction gate sees to it),
+    so the sum over j != i is the sum of row i.
     """
-    total = 0
-    for i, b in enumerate(datum.branches):
-        others = sum(datum.intersections[i][j] for j in range(datum.r) if j != i)
-        total += b.multiplicity * (1 - 2 * b.delta - others)
-    return total
+    return sum(b.multiplicity * (1 - 2 * b.delta - sum(row))
+               for b, row in zip(datum.branches, datum.intersections))
 
 
 def memoized(memo: dict | None, key, make):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from .datum import EquisingularDatum
 from .errors import InternalInconsistencyError, MilnorLabError
@@ -152,16 +153,14 @@ def vertical_shift(datum: EquisingularDatum, i: int) -> int:
     adds no winding: sheets are labelled by the value of the reduced
     factor, which transports constantly.  Orientation is fixed as +sum;
     every verdict downstream depends only on gcd(m_i, k_i) and on k_i = 0,
-    both orientation-independent.
+    both orientation-independent.  The diagonal of I is 0 in every datum
+    (the construction gate sees to it), so the sum over j != i is the
+    sum over row i.
     """
     m = datum.branches[i].multiplicity
     if m < 2:
         raise ReducedDatumError(f"branch {i + 1} is not singular (multiplicity 1)")
-    winding = sum(
-        datum.branches[j].multiplicity * datum.intersections[i][j]
-        for j in range(datum.r) if j != i
-    )
-    return winding % m
+    return sum(map(mul, datum.multiplicities, datum.intersections[i])) % m
 
 
 def vertical_shifts(datum: EquisingularDatum, branches) -> tuple[int, ...]:

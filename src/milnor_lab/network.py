@@ -45,9 +45,8 @@ def build_network(datum: EquisingularDatum) -> list[NetworkNode]:
 
 
 def double_point_count(datum: EquisingularDatum) -> int:
-    """Total double points, i.e. the delta invariant of the reduced total curve."""
-    total = sum(b.delta for b in datum.branches)
-    for i in range(datum.r):
-        for j in range(i + 1, datum.r):
-            total += datum.intersections[i][j]
-    return total
+    """Total double points, i.e. the delta invariant of the reduced total curve.
+
+    The diagonal of I is 0 in every datum (the construction gate sees to
+    it), so the entries of I sum to twice the crossings."""
+    return sum(datum.deltas) + sum(map(sum, datum.intersections)) // 2

@@ -108,12 +108,14 @@ class Facts:
     entries: tuple[Boundary2Branch, ...] | None = None
 
     def reduced(self) -> tuple[int, int, int]:
-        """(b0, b1, chi) of the gcd-reduced datum, on the same copies."""
-        shape = reduced = self.shape
-        if shape.gcd > 1:
-            if shape.reduced is None:
-                shape.reduced = _shape(divide_by_gcd(self.datum)[1], self.memo)
-            reduced = shape.reduced
+        """(b0, b1, chi) of the gcd-reduced datum, on the same copies: the
+        datum's own when the gcd is 1."""
+        shape = self.shape
+        if shape.gcd == 1:
+            return shape.d, self.b1, self.chi
+        if shape.reduced is None:
+            shape.reduced = _shape(divide_by_gcd(self.datum)[1], self.memo)
+        reduced = shape.reduced
         vertices, edges = weighed_counts(reduced.sheets, reduced.graph.weights, self.copies)
         return reduced.d, reduced.d - (vertices - edges), vertices - edges
 

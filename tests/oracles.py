@@ -26,6 +26,44 @@ def canonical_key(datum):
     return best
 
 
+# two smooth branches meeting a billion times, and one branch with a billion
+# self points: each a single gadget, weighted by its copies
+HUGE = 10**9
+LARGE_INTEGER_SPECS = {
+    "I12": {"branches": [{"multiplicity": 2, "delta": 0}, {"multiplicity": 3, "delta": 0}],
+            "intersections": [[0, HUGE], [HUGE, 0]]},
+    "delta": {"branches": [{"multiplicity": 2, "delta": HUGE}], "intersections": [[0]]},
+}
+
+
+def euler_characteristic_by_entries(datum):
+    """chi(F) = sum_i m_i (1 - 2 delta_i - sum_{j != i} I_ij), the sum over
+    j != i taken entry by entry, reading nothing of the diagonal."""
+    total = 0
+    for i, b in enumerate(datum.branches):
+        others = sum(datum.intersections[i][j] for j in range(datum.r) if j != i)
+        total += b.multiplicity * (1 - 2 * b.delta - others)
+    return total
+
+
+def vertical_shift_by_entries(datum, i):
+    """k_i = sum_{j != i} m_j I_ij mod m_i, entry by entry."""
+    winding = sum(
+        datum.branches[j].multiplicity * datum.intersections[i][j]
+        for j in range(datum.r) if j != i
+    )
+    return winding % datum.branches[i].multiplicity
+
+
+def double_point_count_by_entries(datum):
+    """sum_i delta_i plus I_ij over the pairs i < j, entry by entry."""
+    total = sum(b.delta for b in datum.branches)
+    for i in range(datum.r):
+        for j in range(i + 1, datum.r):
+            total += datum.intersections[i][j]
+    return total
+
+
 @dataclass(frozen=True)
 class LocalFibre:
     components: int

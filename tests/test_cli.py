@@ -15,6 +15,7 @@ import milnor_lab.report
 import milnor_lab.sweep
 from milnor_lab import InternalInconsistencyError
 from milnor_lab.cli import main
+from oracles import HUGE, LARGE_INTEGER_SPECS
 
 X3 = '{"branches":[{"multiplicity":3,"delta":0}],"intersections":[[0]]}'
 
@@ -35,15 +36,10 @@ def test_analyze_monomial_family(capsys):
     assert report["monodromy"]["cycle_type"] == [2]
 
 
-HUGE = 10**9
-
-
 @pytest.mark.parametrize("spec,chi", [
     # chi = sum_i m_i (1 - 2 delta_i - sum_{j != i} I_ij)
-    ({"branches": [{"multiplicity": 2, "delta": 0}, {"multiplicity": 3, "delta": 0}],
-      "intersections": [[0, HUGE], [HUGE, 0]]}, 2 * (1 - HUGE) + 3 * (1 - HUGE)),
-    ({"branches": [{"multiplicity": 2, "delta": HUGE}], "intersections": [[0]]},
-     2 * (1 - 2 * HUGE)),
+    (LARGE_INTEGER_SPECS["I12"], 2 * (1 - HUGE) + 3 * (1 - HUGE)),
+    (LARGE_INTEGER_SPECS["delta"], 2 * (1 - 2 * HUGE)),
 ], ids=["I12", "delta"])
 def test_analyze_huge_double_point_count(capsys, spec, chi):
     # a billion copies of one double point are one gadget, weighted

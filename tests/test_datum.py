@@ -380,6 +380,7 @@ def _brute_force_count(bounds):
     CorpusBounds(3, 2, 0, 2),
     CorpusBounds(3, 3, 1, 2),
     CorpusBounds(4, 2, 0, 2),  # branch types a, a, b, b: a stabilizer S_2 x S_2
+    CorpusBounds(4, 2, 1, 2),  # four types: all eight run structures of r = 4
 ])
 def test_corpus_matches_brute_force(bounds):
     got = list(enumerate_corpus(bounds))

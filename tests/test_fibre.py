@@ -21,23 +21,32 @@ from milnor_lab import (
     boundary2_components,
     build_analysis,
     build_fibre_graph,
+    DEFAULT_PROPERTIES,
     classify_xr,
     component_monodromy,
     divide_by_gcd,
+    double_point_count,
     enumerate_corpus,
     euler_characteristic_closed,
     fibre_summary,
     from_monomial,
     from_quasihomogeneous,
     make_datum,
+    vertical_shift,
 )
+from milnor_lab.datum import expand_spec
 from milnor_lab.fibre import analyse
+from milnor_lab.invariants import singular_branches
 
 from oracles import (
+    LARGE_INTEGER_SPECS,
     assert_matches_full_expansion,
     brute_roots,
+    double_point_count_by_entries,
+    euler_characteristic_by_entries,
     expand_fibre_graph,
     union_find_labels,
+    vertical_shift_by_entries,
 )
 
 
@@ -216,6 +225,30 @@ def test_check_datum_runs_the_closed_form_once(monkeypatch):
     datum = make_datum([(4, 1), (6, 2)], [[0, 5], [5, 0]])
     assert milnor_lab.sweep.check_datum(datum, milnor_lab.sweep.DEFAULT_PROPERTIES) == []
     assert len(in_fibre) + len(in_sweep) == 1
+
+
+def test_check_datum_weighs_the_copies_once_when_the_gcd_is_1(monkeypatch):
+    # such a datum is its own reduced datum: divide-by-gcd reads the datum's
+    # (b0, b1, chi) and weighs no copies a second time
+    weighed = []
+    real = milnor_lab.sweep.weighed_counts
+
+    def counted(*args):
+        weighed.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(milnor_lab.sweep, "weighed_counts", counted)
+    datums = list(enumerate_corpus(CorpusBounds(3, 3, 1, 2)))
+    coprime = [datum for datum in datums if gcd(*datum.multiplicities) == 1]
+    memo = {}
+    for datum in coprime:
+        assert milnor_lab.sweep.check_datum(datum, DEFAULT_PROPERTIES, memo) == []
+    assert len(weighed) == len(coprime) > 0
+    weighed.clear()
+    rest = [datum for datum in datums if gcd(*datum.multiplicities) > 1]
+    for datum in rest:
+        assert milnor_lab.sweep.check_datum(datum, DEFAULT_PROPERTIES, memo) == []
+    assert len(weighed) == 2 * len(rest) > 0  # the datum's copies, then its reduced shape's
 
 
 def test_boundary_route_runs_once_per_datum(monkeypatch):
@@ -435,6 +468,24 @@ def test_collapsed_graph_matches_full_expansion_on_wide_networks(seed):
     rng = random.Random(seed)
     for _ in range(50):
         assert_matches_full_expansion(_wide_network(rng))
+
+
+def test_row_sum_forms_match_the_entry_by_entry_sums():
+    # every datum has a zero diagonal, so a whole row sums its entries j != i
+    datums = list(enumerate_corpus(CorpusBounds(3, 3, 2, 2)))
+    for seed in range(4):
+        rng = random.Random(seed)
+        datums += [_wide_network(rng) for _ in range(50)]
+    datums += [expand_spec(spec) for spec in LARGE_INTEGER_SPECS.values()]
+    shifts = 0
+    for datum in datums:
+        assert euler_characteristic_closed(datum) == euler_characteristic_by_entries(datum)
+        assert double_point_count(datum) == double_point_count_by_entries(datum)
+        for i in singular_branches(datum):
+            k = vertical_shift(datum, i)
+            assert k == vertical_shift_by_entries(datum, i)
+            shifts += k != 0
+    assert shifts  # not only shifts that vanish
 
 
 def _labelled_graphs():

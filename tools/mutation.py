@@ -116,6 +116,16 @@ MUTANTS = {
         "branches, rows = datum.branches, datum.intersections",
         "branches, rows = datum.branches, shape.graph.datum.intersections",
     ),
+    "enumerator-cache-keyed-on-r": (
+        "src/milnor_lab/datum.py",
+        "runs = tuple(len(list(g)) for _, g in itertools.groupby(branch_types))",
+        "runs = len(branch_types)",
+    ),
+    "enumerator-keeps-every-candidate": (
+        "src/milnor_lab/datum.py",
+        "stab.append(operator.itemgetter(*moved))",
+        "pass",
+    ),
     "chi-form-row-undocumented": (
         "src/milnor_lab/sweep.py",
         '("prop2-chi-form", _prop_chi_form, True, True),  # known discrepancy at curve level',
