@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 import sys
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 
 from .errors import CurveSpecError, ValidationError
 
@@ -347,7 +347,7 @@ def _canonical_matrices(branch_types, levels):
         # one that fixes every position is skipped: with r = 2 the getter of
         # the one edge would return an int, not a tuple
         if moved != list(range(len(pairs))):
-            stab.append(operator.itemgetter(*moved))
+            stab.append(itemgetter(*moved))
     kept = []
     for ivec in itertools.product(levels, repeat=len(pairs)):
         if any(p(ivec) < ivec for p in stab):

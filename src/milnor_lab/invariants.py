@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
+from operator import attrgetter, mul
 
 from .datum import EquisingularDatum
 from .errors import InternalInconsistencyError, MilnorLabError
@@ -160,7 +160,8 @@ def vertical_shift(datum: EquisingularDatum, i: int) -> int:
     m = datum.branches[i].multiplicity
     if m < 2:
         raise ReducedDatumError(f"branch {i + 1} is not singular (multiplicity 1)")
-    return sum(map(mul, datum.multiplicities, datum.intersections[i])) % m
+    weights = map(attrgetter("multiplicity"), datum.branches)
+    return sum(map(mul, weights, datum.intersections[i])) % m
 
 
 def vertical_shifts(datum: EquisingularDatum, branches) -> tuple[int, ...]:

@@ -123,7 +123,7 @@ MUTANTS = {
     ),
     "enumerator-keeps-every-candidate": (
         "src/milnor_lab/datum.py",
-        "stab.append(operator.itemgetter(*moved))",
+        "stab.append(itemgetter(*moved))",
         "pass",
     ),
     "chi-form-row-undocumented": (
