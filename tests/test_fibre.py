@@ -15,13 +15,13 @@ import milnor_lab.sweep
 from milnor_lab import (
     Branch,
     CorpusBounds,
+    DEFAULT_PROPERTIES,
     EquisingularDatum,
     QuasiHomBranchSpec,
     beta,
     boundary2_components,
     build_analysis,
     build_fibre_graph,
-    DEFAULT_PROPERTIES,
     classify_xr,
     component_monodromy,
     divide_by_gcd,
