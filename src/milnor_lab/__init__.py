@@ -49,7 +49,6 @@ from .intlinalg import (
 from .invariants import (
     BetaReport,
     ReducedDatumError,
-    TransversalData,
     UpperBoundVerdict,
     XrVerdict,
     beta,
@@ -57,7 +56,6 @@ from .invariants import (
     check_upper_bound,
     classify_xr,
     mu_reduced,
-    transversal_data,
     vertical_shift,
 )
 from .network import NetworkNode, build_network, double_point_count

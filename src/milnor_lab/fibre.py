@@ -44,7 +44,6 @@ from .network import NetworkNode, build_network
 class FibreGraph:
     """The fibre graph of one datum and what it yields, each computed at most once."""
 
-    datum: EquisingularDatum
     network: tuple[NetworkNode, ...]
     shift_cycles: tuple[tuple[int, int], ...]  # (first vertex, length): branches, then nodes
     edges: tuple[tuple[int, int], ...]  # built edges, loops included, endpoints sorted
@@ -81,29 +80,11 @@ class FibreGraph:
     def d(self) -> int:
         return max(self.labels) + 1
 
-    @property
-    def chi(self) -> int:
-        return self.vertex_count - self.edge_count
-
-    @property
-    def b1(self) -> int:
-        return self.d - self.chi
-
     @cached_property
     def summary(self) -> FibreSummary:
-        """d and chi, each checked against its closed form."""
-        chi_closed = euler_characteristic_closed(self.datum)
-        if self.chi != chi_closed:
-            raise InternalInconsistencyError(
-                f"chi mismatch: graph V-E gives {self.chi}, closed form gives {chi_closed}"
-            )
-        d_gcd = gcd(*self.datum.multiplicities)
-        if self.d != d_gcd:
-            raise InternalInconsistencyError(
-                f"component mismatch: component search gives {self.d}, "
-                f"gcd of multiplicities gives {d_gcd}"
-            )
-        return FibreSummary(self.d, self.b1, self.chi, chi_closed)
+        """d, b1 and chi = V - E, unchecked: ``analyse`` checks d and chi."""
+        chi = self.vertex_count - self.edge_count
+        return FibreSummary(self.d, self.d - chi, chi)
 
     @cached_property
     def monodromy(self) -> ComponentMonodromy:
@@ -140,11 +121,6 @@ class FibreSummary:
     d: int
     b1: int
     chi: int
-    chi_closed_form: int
-
-    @property
-    def b0(self) -> int:
-        return self.d
 
 
 @dataclass(frozen=True)
@@ -181,7 +157,7 @@ def build_fibre_graph(datum: EquisingularDatum) -> FibreGraph:
         vertex += g
         weights.append((g, len(edges) - first))
     counts = weighed_counts(sheets, weights, (node.copies for node in network))
-    return FibreGraph(datum, network, tuple(cycles), tuple(edges), vertex, tuple(weights),
+    return FibreGraph(network, tuple(cycles), tuple(edges), vertex, tuple(weights),
                       *counts)
 
 
@@ -223,12 +199,26 @@ def graph_shape(datum: EquisingularDatum) -> tuple[tuple[int, bool], ...]:
 
 
 def analyse(datum: EquisingularDatum) -> FibreGraph:
-    """The fibre graph of a datum, kept per datum object in its ``__dict__``
-    as ``cached_property`` keeps a value: the calls on one object share one
-    graph, and the graph lives no longer than it."""
+    """The fibre graph of a datum, its chi and d checked against the closed
+    form and gcd(m_i) when it is built, then kept per datum object in its
+    ``__dict__`` as ``cached_property`` keeps a value: the calls on one
+    object share one graph, which holds no datum and dies with it."""
     kept = vars(datum)
     if "_fibre_graph" not in kept:
-        kept["_fibre_graph"] = build_fibre_graph(datum)
+        graph = build_fibre_graph(datum)
+        chi, d = graph.summary.chi, graph.summary.d
+        chi_closed = euler_characteristic_closed(datum)
+        if chi != chi_closed:
+            raise InternalInconsistencyError(
+                f"chi mismatch: graph V-E gives {chi}, closed form gives {chi_closed}"
+            )
+        d_gcd = gcd(*datum.multiplicities)
+        if d != d_gcd:
+            raise InternalInconsistencyError(
+                f"component mismatch: component search gives {d}, "
+                f"gcd of multiplicities gives {d_gcd}"
+            )
+        kept["_fibre_graph"] = graph
     return kept["_fibre_graph"]
 
 

@@ -24,19 +24,6 @@ class ReducedDatumError(MilnorLabError):
 
 
 @dataclass(frozen=True)
-class TransversalBranch:
-    branch: int       # 0-based index
-    fibre_size: int   # m_i points
-    mu_perp: int      # m_i - 1
-
-
-@dataclass(frozen=True)
-class TransversalData:
-    branches: tuple[TransversalBranch, ...]
-    total_points: int
-
-
-@dataclass(frozen=True)
 class UpperBoundVerdict:
     # The report's "upper_bound" section is asdict() of this: field order is key order.
     hypothesis: bool
@@ -97,16 +84,6 @@ def is_power_of_smooth(datum: EquisingularDatum) -> bool:
     return datum.r == 1 and datum.branches[0].delta == 0
 
 
-def transversal_data(datum: EquisingularDatum) -> TransversalData:
-    """Transversal Milnor fibres along the singular branches (m_i >= 2 only)."""
-    entries = tuple(
-        TransversalBranch(i, datum.branches[i].multiplicity,
-                          datum.branches[i].multiplicity - 1)
-        for i in singular_branches(datum)
-    )
-    return TransversalData(entries, sum(e.fibre_size for e in entries))
-
-
 def beta(datum: EquisingularDatum) -> BetaReport:
     """Rank of the relative homology H_1(F, transversal fibres).
 
@@ -114,12 +91,11 @@ def beta(datum: EquisingularDatum) -> BetaReport:
     relative H_0 vanishes because every component of F meets transversal
     points of every singular branch.  Unreduced homology throughout.
     """
-    trans = transversal_data(datum)
-    if not trans.branches:
+    sizes = [datum.branches[i].multiplicity for i in singular_branches(datum)]
+    if not sizes:
         raise ReducedDatumError("beta undefined: isolated singularity")
     summary = fibre_summary(datum)
-    return beta_report(summary.d, summary.b1, summary.chi,
-                       [e.fibre_size for e in trans.branches], is_power_of_smooth(datum))
+    return beta_report(summary.d, summary.b1, summary.chi, sizes, is_power_of_smooth(datum))
 
 
 def beta_report(b0: int, b1: int, chi: int, fibre_sizes, verdict: bool) -> BetaReport:
@@ -193,8 +169,7 @@ def boundary2_components(datum: EquisingularDatum) -> tuple[Boundary2Branch, ...
     sing = singular_branches(datum)
     if not sing:
         raise ReducedDatumError("boundary components undefined: isolated singularity")
-    # the summary checks chi and d
-    return boundary_entries(graph.labels, graph.summary.d, graph.shift_cycles,
+    return boundary_entries(graph.labels, graph.d, graph.shift_cycles,
                             sing, vertical_shifts(datum, sing))
 
 

@@ -12,14 +12,14 @@ from dataclasses import asdict
 from ._version import __version__
 from .datum import EquisingularDatum, serialize_datum
 from .fibre import analyse, component_monodromy, divide_by_gcd, fibre_summary
-from .invariants import beta, boundary2_components, classify_xr, transversal_data
+from .invariants import beta, boundary2_components, classify_xr, singular_branches
 
 
 def build_analysis(datum: EquisingularDatum) -> dict:
     """Assemble the full report."""
     summary = fibre_summary(datum)
     mono = component_monodromy(datum)
-    trans = transversal_data(datum)
+    singular = [(i + 1, datum.branches[i].multiplicity) for i in singular_branches(datum)]
     d, reduced = divide_by_gcd(datum)
     xr = classify_xr(datum)
 
@@ -36,14 +36,11 @@ def build_analysis(datum: EquisingularDatum) -> dict:
     ]
 
     transversal = {
-        "branches": [
-            {"branch": e.branch + 1, "fibre_size": e.fibre_size, "mu_perp": e.mu_perp}
-            for e in trans.branches
-        ],
-        "total_points": trans.total_points,
+        "branches": [{"branch": i, "fibre_size": m, "mu_perp": m - 1} for i, m in singular],
+        "total_points": sum(m for _, m in singular),
     }
 
-    if trans.branches:
+    if singular:
         beta_rep = beta(datum)
         beta_section = {
             "value": beta_rep.beta,
@@ -81,7 +78,7 @@ def build_analysis(datum: EquisingularDatum) -> dict:
         "network": network,
         "fibre": {
             "d": summary.d,
-            "b0": summary.b0,
+            "b0": summary.d,
             "b1": summary.b1,
             "chi": summary.chi,
             "reduced": {"d": d, "datum": serialize_datum(reduced)},

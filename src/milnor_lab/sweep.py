@@ -83,8 +83,8 @@ class Shape:
 def _shape(datum: EquisingularDatum, memo: dict | None) -> Shape:
     """The shape of a datum, kept in a sweep's ``memo``."""
     def make():
-        # not kept on the datum (as analyse keeps it), so that no datum-graph
-        # cycle outlives the sweep; looked up at call time, as tests corrupt it
+        # not analyse, which raises where the sweep's two-route-chi and
+        # lemma-d-gcd report; looked up at call time, as tests corrupt it
         graph = fibre.build_fibre_graph(datum)
         singular = tuple(singular_branches(datum))
         return Shape(graph, graph.d, gcd(*datum.multiplicities), is_power_of_smooth(datum),

@@ -1,5 +1,6 @@
 """CLI behaviour: commands, exit codes, report shape, determinism."""
 
+import io
 import json
 import multiprocessing
 import os
@@ -13,7 +14,13 @@ import milnor_lab.cli
 import milnor_lab.intlinalg
 import milnor_lab.report
 import milnor_lab.sweep
-from milnor_lab import InternalInconsistencyError
+from milnor_lab import (
+    CurveSpecError,
+    InternalInconsistencyError,
+    ValidationError,
+    from_quasihomogeneous,
+    make_datum,
+)
 from milnor_lab.cli import main
 from oracles import HUGE, LARGE_INTEGER_SPECS
 
@@ -652,3 +659,61 @@ def test_enumerate_into_closed_pipe(cli_env):
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == 1
     assert err == b""
+
+
+_ONE = '{"branches":[{"multiplicity":1,"delta":0}],"intersections":[[0]]}'
+
+
+# each input error that the other tests reach only in a subprocess, if at all,
+# with the one stderr line it must give; stdout is ASCII throughout, which
+# only the report with a non-ASCII label fails
+@pytest.mark.parametrize("argv,line", [
+    (["analyze"], "error: no curve-spec given (pass a path, inline JSON, or --family)"),
+    (["analyze", X3, "--family", "monomial", "--p", "1", "--q", "1"],
+     "error: give either a spec or --family, not both"),
+    (["analyze", "--family", "quasihomogeneous", "--qh-branch", "2:3"],
+     "milnor-lab analyze: error: argument --qh-branch: bad --qh-branch '2:3', expected A:B:M"),
+    (["analyze", "--family", "monomial", "--p", "0", "--q", "1"],
+     "error: monomial exponents must be >= 1"),
+    (["analyze", "--family", "power", "--base", X3, "--exponent", "0"],
+     "error: power exponent must be >= 1"),
+    (["analyze", "--family", "quasihomogeneous", "--qh-branch", "0:1:1"],
+     "error: quasi-homogeneous parameters must be >= 1"),
+    (["analyze", '{"family":"power","base":[1],"exponent":2}'],
+     "error: curve-spec must be a JSON object"),
+    (["analyze", '{"family":"quasihomogeneous","branches":[]}'],
+     "error: quasihomogeneous: 'branches' must be a non-empty list"),
+    (["analyze", '{"family":"quasihomogeneous","branches":[1]}'],
+     "error: quasihomogeneous branch 1: must be an object"),
+    (["analyze", _ONE.replace("[[0]]", "5")],
+     "error: 'intersections' must be a matrix (list of rows)"),
+    (["analyze", _ONE.replace('{"multiplicity":1,"delta":0}', "5")],
+     "error: branch 1: must be an object"),
+    (["analyze", _ONE.replace('{"multiplicity"', '{"label":5,"multiplicity"')],
+     "error: branch 1: 'label' must be a string"),
+    (["analyze", _ONE.replace("[[0]]", "[5]")], "error: 'intersections' rows must be lists"),
+    (["analyze", _ONE.replace(',"delta":0', "")], "error: branch 1: missing keys ['delta']"),
+    (["enumerate", "--max-branches", "1", "--max-mult", "1", "--max-delta", "-1",
+      "--max-int", "1"],
+     "error: corpus bounds: max_delta >= 0 and max_intersection >= 1 required"),
+    (["analyze", _ONE.replace('{"multiplicity"', '{"label":"é","multiplicity"')],
+     "error: the report does not encode as ascii; write it with --out"),
+], ids=["no-spec", "spec-and-family", "qh-branch-form", "monomial-exponent", "power-exponent",
+        "qh-parameter", "spec-not-object", "qh-branches-empty", "qh-branch-not-object",
+        "matrix-not-list", "branch-not-object", "label-not-string", "row-not-list",
+        "missing-key", "corpus-bounds", "stdout-not-utf8"])
+def test_input_error_in_process(capsys, monkeypatch, argv, line):
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 1
+    assert stdout.buffer.getvalue() == b""
+    assert capsys.readouterr().err == line + "\n"
+
+
+def test_input_errors_only_the_library_reaches():
+    # the CLI always has a branch to give: an empty spec list fails earlier
+    with pytest.raises(ValidationError) as info:
+        make_datum([], [])
+    assert info.value.violations == ["at least one branch required"]
+    with pytest.raises(CurveSpecError, match="^at least one quasi-homogeneous branch required$"):
+        from_quasihomogeneous([])

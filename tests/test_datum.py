@@ -118,7 +118,6 @@ _DATUM_CONSUMERS = {
     "fibre_summary": milnor_lab.fibre_summary,
     "component_monodromy": milnor_lab.component_monodromy,
     "divide_by_gcd": milnor_lab.divide_by_gcd,
-    "transversal_data": milnor_lab.transversal_data,
     "beta": milnor_lab.beta,
     "vertical_shift": lambda datum: milnor_lab.vertical_shift(datum, 0),
     "boundary2_components": milnor_lab.boundary2_components,

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import pickle
 import random
+import weakref
 from math import gcd
 
 import pytest
@@ -30,6 +31,7 @@ from milnor_lab import (
     euler_characteristic_closed,
     fibre_summary,
     from_monomial,
+    from_power,
     from_quasihomogeneous,
     make_datum,
     vertical_shift,
@@ -323,6 +325,28 @@ def test_sweep_leaves_no_reference_cycle():
         gc.enable()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: make_datum([(6, 0)], [[0]]),
+    lambda: from_monomial(4, 6),
+    lambda: make_datum([(1, 2), (1, 0)], [[0, 3], [3, 0]]),  # a reduced node
+    lambda: from_power(from_monomial(2, 3), 4),
+], ids=["x6", "x4y6", "node", "power"])
+def test_analyze_leaves_no_reference_cycle(make):
+    # the graph analyse keeps on a datum holds no datum, so reference counting
+    # alone frees an analysed datum and its graph when the last name goes
+    gc.collect()
+    gc.disable()
+    try:
+        datum = make()
+        build_analysis(datum)
+        kept = weakref.ref(datum)
+        del datum
+        assert kept() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_check_datum_property_alone_matches_full_suite():
     sweep = milnor_lab.sweep
     found = set()
@@ -426,7 +450,7 @@ def test_structural_invariants_over_corpus():
                     expected.append(tuple(sorted((off_q + a, av))))
         assert sorted(expected) == sorted(tuple(sorted(e)) for e in graph.edges)
         summary = fibre_summary(datum)
-        assert summary.chi == summary.chi_closed_form
+        assert summary.chi == euler_characteristic_closed(datum)
         assert summary.d == _brute_components(graph.size, graph.edges)
         d = 0
         for m in datum.multiplicities:

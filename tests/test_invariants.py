@@ -11,12 +11,12 @@ from milnor_lab import (
     ReducedDatumError,
     beta,
     boundary2_components,
+    build_analysis,
     check_upper_bound,
     classify_xr,
     from_monomial,
     make_datum,
     mu_reduced,
-    transversal_data,
     vertical_shift,
 )
 from oracles import permutation_matrix
@@ -25,22 +25,20 @@ from oracles import permutation_matrix
 # -- transversal data ---------------------------------------------------------
 
 def test_transversal_x5():
-    data = transversal_data(make_datum([(5, 0)], [[0]]))
-    assert len(data.branches) == 1
-    entry = data.branches[0]
-    assert (entry.fibre_size, entry.mu_perp) == (5, 4)
-    assert data.total_points == 5
+    data = build_analysis(make_datum([(5, 0)], [[0]]))["transversal"]
+    assert data == {"branches": [{"branch": 1, "fibre_size": 5, "mu_perp": 4}],
+                    "total_points": 5}
 
 
 def test_transversal_monomial_2_3():
-    data = transversal_data(from_monomial(2, 3))
-    assert [(e.fibre_size, e.mu_perp) for e in data.branches] == [(2, 1), (3, 2)]
+    data = build_analysis(from_monomial(2, 3))["transversal"]
+    assert [(e["fibre_size"], e["mu_perp"]) for e in data["branches"]] == [(2, 1), (3, 2)]
 
 
 def test_transversal_reduced_is_empty():
-    data = transversal_data(make_datum([(1, 2), (1, 0)], [[0, 3], [3, 0]]))
-    assert data.branches == ()
-    assert data.total_points == 0
+    data = build_analysis(make_datum([(1, 2), (1, 0)], [[0, 3], [3, 0]]))["transversal"]
+    assert data["branches"] == []
+    assert data["total_points"] == 0
 
 
 # -- beta ----------------------------------------------------------------------

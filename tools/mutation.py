@@ -111,10 +111,25 @@ MUTANTS = {
         'return memoized(memo, ("shape", graph_shape(datum)), make)',
         'return memoized(memo, ("shape", datum.multiplicities), make)',
     ),
-    "sweep-copies-from-first-datum": (
+    "sweep-copies-read-diagonal": (
         "src/milnor_lab/sweep.py",
-        "branches, rows = datum.branches, datum.intersections",
-        "branches, rows = datum.branches, shape.graph.datum.intersections",
+        "copies = [branches[i].delta if j is None else rows[i][j] for i, j in shape.sources]",
+        "copies = [branches[i].delta if j is None else rows[i][i] for i, j in shape.sources]",
+    ),
+    "analyse-skips-chi-check": (
+        "src/milnor_lab/fibre.py",
+        "if chi != chi_closed:",
+        "if False:",
+    ),
+    "analyse-skips-d-check": (
+        "src/milnor_lab/fibre.py",
+        "if d != d_gcd:",
+        "if False:",
+    ),
+    "transversal-mu-perp-is-m": (
+        "src/milnor_lab/report.py",
+        '"branches": [{"branch": i, "fibre_size": m, "mu_perp": m - 1} for i, m in singular],',
+        '"branches": [{"branch": i, "fibre_size": m, "mu_perp": m} for i, m in singular],',
     ),
     "enumerator-cache-keyed-on-r": (
         "src/milnor_lab/datum.py",
@@ -125,6 +140,16 @@ MUTANTS = {
         "src/milnor_lab/datum.py",
         "stab.append(itemgetter(*moved))",
         "pass",
+    ),
+    "qh-intersection-max": (
+        "src/milnor_lab/datum.py",
+        "v = min(si.a * sj.b, sj.a * si.b)",
+        "v = max(si.a * sj.b, sj.a * si.b)",
+    ),
+    "qh-delta-drops-b-minus-1": (
+        "src/milnor_lab/datum.py",
+        "(s.multiplicity, (s.a - 1) * (s.b - 1) // 2) for s in specs",
+        "(s.multiplicity, (s.a - 1) * s.b // 2) for s in specs",
     ),
     "chi-form-row-undocumented": (
         "src/milnor_lab/sweep.py",
