@@ -165,8 +165,6 @@ def from_quasihomogeneous(specs: list[QuasiHomBranchSpec]) -> EquisingularDatum:
     branches with the same (a, b) are read as distinct generic-coefficient
     copies, which meet with multiplicity a_i b_i.
     """
-    if not specs:
-        raise CurveSpecError("at least one quasi-homogeneous branch required")
     for s in specs:
         if s.a < 1 or s.b < 1 or s.multiplicity < 1:
             raise CurveSpecError("quasi-homogeneous parameters must be >= 1")

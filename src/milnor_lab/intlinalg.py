@@ -7,8 +7,8 @@ that U, S, V are reproducible across runs.  It has one elimination
 routine, ``_clear``: row operations reduce the entries below a pivot and
 are undone on the columns of a companion matrix.  The row pass runs it
 on S with U, the column pass on S^T with V^T.  The cokernel eliminates
-unit pivots on sparse columns first and runs the Smith reduction only on
-the block that is left.
+unit pivots in one pass over sparse columns, reducing them in place, and
+runs the Smith reduction only on the block that is left.
 """
 
 from __future__ import annotations
@@ -144,53 +144,42 @@ def smith_normal_form(matrix: IntMatrix, companions: bool = True) -> SmithDecomp
 def cokernel(matrix: IntMatrix | SparseColumns) -> CokernelPresentation:
     """Presentation of Z^rows / (column span of the matrix).
 
-    Unit pivots are eliminated first, on sparse columns, in one pass over
-    the rows in index order: in a row with a +-1 entry, take the unit
-    whose column is shortest, clear that row from the other columns by
-    column operations, then drop the pivot row and column, which leaves
-    the cokernel unchanged.  The block that is left (rows still live,
-    columns still nonzero) goes to ``smith_normal_form`` for its diagonal
-    alone, which reduces exactly whatever the pass missed.
+    Unit pivots go first, in one pass over the columns: each is cleared in
+    place of the rows already pivoted on, oldest pivot first (which never
+    brings an older pivot row back), and a +-1 entry left in it makes its
+    row the next pivot.  The pivot block is unitriangular, so dropping its
+    rows and columns leaves the cokernel unchanged.  The columns left
+    without a unit are cleared once more; ``smith_normal_form`` takes them
+    on the rows no pivot took, for the diagonal alone.  The columns of a
+    ``SparseColumns`` are consumed; an ``IntMatrix`` is not touched.
     """
     if isinstance(matrix, IntMatrix):
         matrix = SparseColumns.from_dense(matrix)
-    cols = {j: dict(col) for j, col in enumerate(matrix.columns) if col}
-    meets: dict[int, set[int]] = {}  # row -> columns with a nonzero in it
-    for j, col in cols.items():
-        for i in col:
-            meets.setdefault(i, set()).add(j)
-    live = set(range(matrix.rows))
-    for r in sorted(meets):
-        units = [j for j in meets[r] if cols[j][r] in (1, -1)]
-        if not units:
-            continue  # left for the Smith reduction
-        c = min(units, key=lambda j: (len(cols[j]), j))
-        pivot_col = cols.pop(c)
-        unit = pivot_col[r]
-        for j in list(meets[r]):
-            if j == c:
-                continue
-            col = cols[j]
-            q = col[r] * unit
+    pivots: dict[int, tuple[dict[int, int], int]] = {}  # row -> (its column, pivots before it)
+
+    def clear(col: dict[int, int]) -> dict[int, int]:
+        while hits := [(pivots[r][1], r) for r in col if r in pivots]:
+            r = min(hits)[1]
+            pivot_col = pivots[r][0]
+            q = col[r] * pivot_col[r]
             for i, v in pivot_col.items():
-                w = col.get(i, 0) - q * v
-                if w:
+                if w := col.get(i, 0) - q * v:
                     col[i] = w
-                    meets[i].add(j)
                 else:
                     del col[i]
-                    meets[i].discard(j)
-            if not col:
-                del cols[j]
-        live.discard(r)
-        del meets[r]
-        for i in pivot_col:
-            if i != r:
-                meets[i].discard(c)
-    order = sorted(live)
-    kept = sorted(cols)
-    block = IntMatrix(len(order), len(kept), tuple(
-        tuple(cols[j].get(i, 0) for j in kept) for i in order
+        return col
+
+    rest = []
+    for col in map(clear, matrix.columns):
+        r = next((i for i, v in col.items() if v in (1, -1)), None)
+        if r is None:
+            rest.append(col)
+        else:
+            pivots[r] = (col, len(pivots))
+    rest = [col for col in map(clear, rest) if col]
+    live = [i for i in range(matrix.rows) if i not in pivots]
+    block = IntMatrix(len(live), len(rest), tuple(
+        tuple(col.get(i, 0) for col in rest) for i in live
     ))
     diag = smith_normal_form(block, False).diagonal()
     rank = sum(1 for d in diag if d != 0)

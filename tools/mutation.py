@@ -96,6 +96,21 @@ MUTANTS = {
         "pres = memoized(memo, (m, k), lambda: cokernel(shift_minus_identity(m, k)))",
         "pres = memoized(memo, m, lambda: cokernel(shift_minus_identity(m, k)))",
     ),
+    "cokernel-skips-final-clear": (
+        "src/milnor_lab/intlinalg.py",
+        "rest = [col for col in map(clear, rest) if col]",
+        "rest = [col for col in rest if col]",
+    ),
+    "cokernel-unit-takes-two": (
+        "src/milnor_lab/intlinalg.py",
+        "r = next((i for i, v in col.items() if v in (1, -1)), None)",
+        "r = next((i for i, v in col.items() if v in (1, -1, 2)), None)",
+    ),
+    "cokernel-live-keeps-pivot-rows": (
+        "src/milnor_lab/intlinalg.py",
+        "live = [i for i in range(matrix.rows) if i not in pivots]",
+        "live = list(range(matrix.rows))",
+    ),
     "labels-drop-neighbour-push": (
         "src/milnor_lab/fibre.py",
         "stack.append(w)",
