@@ -163,7 +163,8 @@ def cokernel(matrix: IntMatrix | SparseColumns) -> CokernelPresentation:
             pivot_col = pivots[r][0]
             q = col[r] * pivot_col[r]
             for i, v in pivot_col.items():
-                if w := col.get(i, 0) - q * v:
+                w = col.get(i, 0) - q * v
+                if w:
                     col[i] = w
                 else:
                     del col[i]
