@@ -178,11 +178,7 @@ def from_quasihomogeneous(specs: list[QuasiHomBranchSpec]) -> EquisingularDatum:
     for i in range(r):
         for j in range(i + 1, r):
             si, sj = specs[i], specs[j]
-            if (si.a, si.b) == (sj.a, sj.b):
-                v = si.a * si.b
-            else:
-                v = min(si.a * sj.b, sj.a * si.b)
-            matrix[i][j] = matrix[j][i] = v
+            matrix[i][j] = matrix[j][i] = min(si.a * sj.b, sj.a * si.b)
     return make_datum(branches, matrix)
 
 

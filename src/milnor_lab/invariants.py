@@ -14,7 +14,7 @@ from operator import attrgetter, mul
 
 from .datum import EquisingularDatum
 from .errors import InternalInconsistencyError, MilnorLabError
-from .fibre import analyse, fibre_summary, memoized
+from .fibre import FibreGraph, analyse, fibre_summary, memoized
 from .intlinalg import CokernelPresentation, SparseColumns, cokernel
 from .network import double_point_count
 
@@ -156,37 +156,52 @@ def shift_minus_identity(m: int, k: int) -> SparseColumns:
     ))
 
 
+def _orbits(m: int, k: int) -> int:
+    """Orbits of the shift a -> a + k (mod m), each followed round: an oracle
+    independent of both gcd and the cokernel."""
+    seen, orbits = set(), 0
+    for start in range(m):
+        orbits += start not in seen
+        a = start
+        while a not in seen:
+            seen.add(a)
+            a = (a + k) % m
+    return orbits
+
+
 def boundary2_components(datum: EquisingularDatum) -> tuple[Boundary2Branch, ...]:
     """Components of the fibre boundary over the singular set, per branch.
 
-    Two routes per branch: gcd(m_i, k_i) directly, and the cokernel of
-    (A_i - I) by exact integer elimination; they must agree with no
-    torsion.  chain_ok additionally checks, on the fibre graph, that the
-    residue classes of branch-i sheets mod gcd(m_i, k_i) map consistently
-    onto the fibre components, so the composed boundary map is onto.
+    Three routes per branch, which must agree with no torsion: gcd(m_i, k_i),
+    the cokernel of (A_i - I) by exact elimination, and the shift's orbits
+    walked round.  chain_ok checks, on the fibre graph, that the residue
+    classes of branch-i sheets mod gcd(m_i, k_i) map consistently onto the
+    fibre components, so the composed boundary map is onto.
     """
     graph = analyse(datum)
     sing = singular_branches(datum)
     if not sing:
         raise ReducedDatumError("boundary components undefined: isolated singularity")
-    return boundary_entries(graph.labels, graph.d, graph.shift_cycles,
-                            sing, vertical_shifts(datum, sing))
+    return boundary_entries(graph, sing, vertical_shifts(datum, sing))
 
 
-def boundary_entries(labels, n_components, cycles, branches, shifts,
+def boundary_entries(graph: FibreGraph, branches, shifts,
                      memo: dict | None = None) -> tuple[Boundary2Branch, ...]:
     """The boundary entry of each singular branch i with shift k_i, on a fibre
-    graph's component ``labels`` and shift ``cycles``: all they read of a datum.
-    A sweep's ``memo`` reduces each distinct ``(m_i, k_i)`` once."""
+    graph's component labels and shift cycles: all they read of a datum.  A
+    sweep's ``memo`` keeps one record per distinct ``(m_i, k_i)``: its
+    cokernel and its orbit walk."""
+    labels, n_components = graph.labels, graph.d
     entries = []
     for i, k in zip(branches, shifts):
-        off, m = cycles[i]  # the sheets of branch i
+        off, m = graph.shift_cycles[i]  # the sheets of branch i
         g = gcd(m, k)
-        pres = memoized(memo, (m, k), lambda: cokernel(shift_minus_identity(m, k)))
-        if pres.free_rank != g or pres.torsion:
+        pres, orbits = memoized(memo, (m, k), lambda: (
+            cokernel(shift_minus_identity(m, k)), _orbits(m, k)))
+        if pres.free_rank != g or pres.torsion or orbits != g:
             raise InternalInconsistencyError(
-                f"branch {i + 1}: cokernel route gives Z^{pres.free_rank} "
-                f"plus torsion {list(pres.torsion)}, orbit route gives Z^{g}"
+                f"branch {i + 1}: cokernel route gives Z^{pres.free_rank} plus torsion "
+                f"{list(pres.torsion)}, orbit walk {orbits}, gcd {g}"
             )
         comps = labels[off:off + m]
         chain_ok = (

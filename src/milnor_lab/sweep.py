@@ -124,8 +124,7 @@ class Facts:
             shape = self.shape
             shifts = vertical_shifts(self.datum, shape.singular)
             self.entries = memoized(shape.entries, shifts, lambda: boundary_entries(
-                shape.graph.labels, shape.d, shape.graph.shift_cycles, shape.singular,
-                shifts, self.memo))
+                shape.graph, shape.singular, shifts, self.memo))
         return self.entries
 
 
@@ -213,28 +212,9 @@ def _prop_c1_iff_c3(f):
                f"C1 = {rep.c1_beta_zero}, C3 = {rep.c3_homology_form}")
 
 
-def _orbits(m: int, k: int) -> int:
-    """Orbits of the shift a -> a + k (mod m), each followed round: an oracle
-    independent of both gcd and the cokernel."""
-    seen, orbits = set(), 0
-    for start in range(m):
-        orbits += start not in seen
-        a = start
-        while a not in seen:
-            seen.add(a)
-            a = (a + k) % m
-    return orbits
-
-
 def _prop_coker_rank(f):
     d = f.shape.d
-    for entry in f.boundary():
-        m, k = f.datum.branches[entry.branch].multiplicity, entry.shift
-        # kept beside the cokernel of the same (m, k) in a sweep's memo
-        orbits = memoized(f.memo, ("orbits", m, k), lambda: _orbits(m, k))
-        if entry.coker.free_rank != orbits or entry.coker.torsion:
-            yield (f"branch {entry.branch + 1}: coker(A - I) free of rank {orbits}",
-                   f"rank {entry.coker.free_rank}, torsion {list(entry.coker.torsion)}")
+    for entry in f.boundary():  # each cokernel and orbit walk checked as it was made
         if entry.components % d != 0:
             yield (f"branch {entry.branch + 1}: d | gcd(m, k)",
                    f"d = {d}, gcd = {entry.components}")
@@ -296,8 +276,8 @@ def resolve_properties(names=None) -> tuple[str, ...]:
 
 # datums handed to a worker per round trip, each chunk with its own copy of the
 # sweep's empty memo.  `verify` of the 20,024 datums of (3,4,3,3) on 2 CPUs, import
-# to exit: 2.76 s at --jobs 1; at --jobs 2, 1.93 s at 64 against 1.82 s at 256
-# (medians of ten alternating pairs, inside their spread), 2.40 s at 16
+# to exit, at 64: 0.60 s at --jobs 1 and 0.69 s at --jobs 2 (medians of ten
+# alternating pairs), so the pool does not pay there; see ROADMAP item 8
 _CHUNKSIZE = 64
 
 
@@ -317,9 +297,9 @@ def run_sweep(bounds: CorpusBounds, properties=None, jobs: int = 1) -> SweepResu
     """Check the corpus as it is enumerated; violations keep enumeration
     order at any job count, because both maps below preserve it."""
     names = resolve_properties(properties)
-    # the sweep's memo: shape facts and graphs by shape, cokernels and orbit
-    # counts by (m, k), dropped with `check`; at --jobs > 1 each chunk gets a
-    # copy of it, empty
+    # the sweep's memo: shape facts and graphs by shape, one checked record of
+    # cokernel and orbit walk by (m, k), dropped with `check`; at --jobs > 1 each
+    # chunk gets a copy of it, empty
     check = partial(check_datum, names=names, memo={})
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))  # honours taskset and cpusets

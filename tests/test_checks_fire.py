@@ -22,7 +22,6 @@ from milnor_lab import (
 )
 from milnor_lab.cli import main
 from milnor_lab.fibre import FibreGraph
-from milnor_lab.intlinalg import CokernelPresentation
 from milnor_lab.sweep import (
     ALL_PROPERTIES,
     _TABLE,
@@ -63,10 +62,11 @@ def _rep(**change):
     return lambda facts: replace(facts, rep=replace(facts.rep, **change))
 
 
-def _first_branch(**change):
+def _branch(n, **change):
     def brk(facts):
-        entries = facts.boundary()
-        return replace(facts, entries=(replace(entries[0], **change),) + entries[1:])
+        entries = list(facts.boundary())
+        entries[n] = replace(entries[n], **change)
+        return replace(facts, entries=tuple(entries))
     return brk
 
 
@@ -89,15 +89,16 @@ BREAKS = [
     ("c1-iff-c3", _x6, _rep(c3_homology_form=False),
      [("C1 (beta = 0) equivalent to C3 (b1 = 0 and b0 - 1 = sum mu_perp)",
        "C1 = True, C3 = False")]),
-    ("coker-rank", _m46, _first_branch(coker=CokernelPresentation(3, ())),
-     [("branch 1: coker(A - I) free of rank 2", "rank 3, torsion []")]),
-    ("coker-rank", _m46, _first_branch(coker=CokernelPresentation(2, (2,))),
-     [("branch 1: coker(A - I) free of rank 2", "rank 2, torsion [2]")]),
-    ("coker-rank", _m46, _first_branch(components=3),
+    ("coker-rank", _m46, _branch(1, chain_ok=False),
+     [("branch 2: boundary components map onto fibre components", "chain_ok = False")]),
+    ("coker-rank", _m46, _branch(0, components=3, chain_ok=False),
+     [("branch 1: d | gcd(m, k)", "d = 2, gcd = 3"),
+      ("branch 1: boundary components map onto fibre components", "chain_ok = False")]),
+    ("coker-rank", _m46, _branch(0, components=3),
      [("branch 1: d | gcd(m, k)", "d = 2, gcd = 3")]),
-    ("coker-rank", _m46, _first_branch(chain_ok=False),
+    ("coker-rank", _m46, _branch(0, chain_ok=False),
      [("branch 1: boundary components map onto fibre components", "chain_ok = False")]),
-    ("upper-bound", _x6, _first_branch(shift=1),
+    ("upper-bound", _x6, _branch(0, shift=1),
      [("rank bound attained forces identity vertical monodromies",
        "cokernels_free = True, shifts_identity = False")]),
     ("prop2-chi-form", _m46, _rep(c1_beta_zero=True),
@@ -225,13 +226,49 @@ def test_shift_splits_a_component_exit_3(capsys, monkeypatch):
     _assert_inconsistent(capsys, "shift maps one component to two different components")
 
 
-def test_cokernel_route_disagrees_exit_3(capsys, monkeypatch):
+def _cokernel_rank_plus_one(monkeypatch):
+    real = milnor_lab.invariants.cokernel
+    monkeypatch.setattr(milnor_lab.invariants, "cokernel",
+                        lambda matrix: replace(real(matrix), free_rank=real(matrix).free_rank + 1))
+
+
+def _cokernel_torsion(monkeypatch):
     real = milnor_lab.invariants.cokernel
     monkeypatch.setattr(milnor_lab.invariants, "cokernel",
                         lambda matrix: replace(real(matrix), torsion=(2,)))
-    _assert_inconsistent(
-        capsys, "branch 1: cokernel route gives Z^2 plus torsion [2], orbit route gives Z^2"
-    )
+
+
+def _orbit_walk_one(monkeypatch):
+    monkeypatch.setattr(milnor_lab.invariants, "_orbits", lambda m, k: 1)
+
+
+# each break of one boundary route, and the one line it gives on branch 1 of x^4 y^6
+BOUNDARY_ROUTE_BREAKS = [
+    (_cokernel_rank_plus_one,
+     "branch 1: cokernel route gives Z^3 plus torsion [], orbit walk 2, gcd 2"),
+    (_cokernel_torsion,
+     "branch 1: cokernel route gives Z^2 plus torsion [2], orbit walk 2, gcd 2"),
+    (_orbit_walk_one,
+     "branch 1: cokernel route gives Z^2 plus torsion [], orbit walk 1, gcd 2"),
+]
+
+
+@pytest.mark.parametrize("brk,message", BOUNDARY_ROUTE_BREAKS,
+                         ids=["cokernel-rank", "cokernel-torsion", "orbit-walk"])
+def test_boundary_routes_disagree_exit_3(capsys, monkeypatch, brk, message):
+    brk(monkeypatch)
+    _assert_inconsistent(capsys, message)
+
+
+def test_orbit_walk_disagrees_in_verify_exit_3(capsys, monkeypatch):
+    # x^2 is the corpus's first singular datum: m = 2, k = 0, so gcd 2
+    _orbit_walk_one(monkeypatch)
+    code = main(["verify", "--max-branches", "1", "--max-mult", "2", "--max-delta", "0",
+                 "--max-int", "1", "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", (
+        "internal inconsistency: branch 1: cokernel route gives Z^2 plus torsion [], "
+        "orbit walk 1, gcd 2\n"))
 
 
 def test_xr_routes_disagree_exit_3(capsys, monkeypatch):

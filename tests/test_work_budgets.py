@@ -29,6 +29,7 @@ COUNTED = {
     "graph_builds": ("build_fibre_graph", (milnor_lab.fibre,)),
     "network_builds": ("build_network", (milnor_lab.fibre,)),
     "cokernels": ("cokernel", (milnor_lab.invariants,)),
+    "orbit_walks": ("_orbits", (milnor_lab.invariants,)),
     "boundaries": ("boundary_entries", (milnor_lab.invariants, milnor_lab.sweep)),
     "closed_form_chi": ("euler_characteristic_closed", (milnor_lab.fibre, milnor_lab.sweep)),
     "validations": ("validate", (milnor_lab.datum,)),

@@ -32,7 +32,7 @@ COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 # name -> (file, old line, new line)
 MUTANTS = {
     "orbit-oracle-step-1": (
-        "src/milnor_lab/sweep.py",
+        "src/milnor_lab/invariants.py",
         "a = (a + k) % m",
         "a = (a + 1) % m",
     ),
@@ -93,8 +93,13 @@ MUTANTS = {
     ),
     "cokernel-keyed-on-m": (
         "src/milnor_lab/invariants.py",
-        "pres = memoized(memo, (m, k), lambda: cokernel(shift_minus_identity(m, k)))",
-        "pres = memoized(memo, m, lambda: cokernel(shift_minus_identity(m, k)))",
+        "pres, orbits = memoized(memo, (m, k), lambda: (",
+        "pres, orbits = memoized(memo, m, lambda: (",
+    ),
+    "boundary-ignores-orbit-walk": (
+        "src/milnor_lab/invariants.py",
+        "if pres.free_rank != g or pres.torsion or orbits != g:",
+        "if pres.free_rank != g or pres.torsion:",
     ),
     "cokernel-skips-final-clear": (
         "src/milnor_lab/intlinalg.py",
@@ -158,8 +163,8 @@ MUTANTS = {
     ),
     "qh-intersection-max": (
         "src/milnor_lab/datum.py",
-        "v = min(si.a * sj.b, sj.a * si.b)",
-        "v = max(si.a * sj.b, sj.a * si.b)",
+        "matrix[i][j] = matrix[j][i] = min(si.a * sj.b, sj.a * si.b)",
+        "matrix[i][j] = matrix[j][i] = max(si.a * sj.b, sj.a * si.b)",
     ),
     "qh-delta-drops-b-minus-1": (
         "src/milnor_lab/datum.py",
