@@ -226,16 +226,12 @@ def test_shift_splits_a_component_exit_3(capsys, monkeypatch):
     _assert_inconsistent(capsys, "shift maps one component to two different components")
 
 
-def _cokernel_rank_plus_one(monkeypatch):
-    real = milnor_lab.invariants.cokernel
-    monkeypatch.setattr(milnor_lab.invariants, "cokernel",
-                        lambda matrix: replace(real(matrix), free_rank=real(matrix).free_rank + 1))
-
-
-def _cokernel_torsion(monkeypatch):
-    real = milnor_lab.invariants.cokernel
-    monkeypatch.setattr(milnor_lab.invariants, "cokernel",
-                        lambda matrix: replace(real(matrix), torsion=(2,)))
+def _cokernel(**change):
+    def brk(monkeypatch):
+        real = milnor_lab.invariants.cokernel
+        monkeypatch.setattr(milnor_lab.invariants, "cokernel",
+                            lambda matrix: replace(real(matrix), **change))
+    return brk
 
 
 def _orbit_walk_one(monkeypatch):
@@ -244,9 +240,9 @@ def _orbit_walk_one(monkeypatch):
 
 # each break of one boundary route, and the one line it gives on branch 1 of x^4 y^6
 BOUNDARY_ROUTE_BREAKS = [
-    (_cokernel_rank_plus_one,
+    (_cokernel(free_rank=3),
      "branch 1: cokernel route gives Z^3 plus torsion [], orbit walk 2, gcd 2"),
-    (_cokernel_torsion,
+    (_cokernel(torsion=(2,)),
      "branch 1: cokernel route gives Z^2 plus torsion [2], orbit walk 2, gcd 2"),
     (_orbit_walk_one,
      "branch 1: cokernel route gives Z^2 plus torsion [], orbit walk 1, gcd 2"),
