@@ -113,7 +113,7 @@ class FibreGraph:
                 raise InternalInconsistencyError(
                     "shift maps one component to two different components"
                 )
-        return ComponentMonodromy(tuple(perm), _cycle_type(perm))
+        return ComponentMonodromy(tuple(perm), tuple(sorted(cycle_lengths(perm), reverse=True)))
 
 
 @dataclass(frozen=True)
@@ -232,20 +232,19 @@ def component_monodromy(datum: EquisingularDatum) -> ComponentMonodromy:
     return analyse(datum).monodromy
 
 
-def _cycle_type(perm) -> tuple[int, ...]:
+def cycle_lengths(perm) -> list[int]:
+    """The length of each cycle of a permutation of range(n), each walked once."""
     seen = [False] * len(perm)
     lengths = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
+    for x in range(len(perm)):
         length = 0
-        x = start
         while not seen[x]:
             seen[x] = True
             x = perm[x]
             length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+        if length:
+            lengths.append(length)
+    return lengths
 
 
 def divide_by_gcd(datum: EquisingularDatum) -> tuple[int, EquisingularDatum]:

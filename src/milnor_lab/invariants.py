@@ -14,7 +14,7 @@ from operator import attrgetter, mul
 
 from .datum import EquisingularDatum
 from .errors import InternalInconsistencyError, MilnorLabError
-from .fibre import FibreGraph, analyse, fibre_summary, memoized
+from .fibre import FibreGraph, analyse, cycle_lengths, fibre_summary, memoized
 from .intlinalg import CokernelPresentation, SparseColumns, cokernel
 from .network import double_point_count
 
@@ -159,14 +159,7 @@ def shift_minus_identity(m: int, k: int) -> SparseColumns:
 def _orbits(m: int, k: int) -> int:
     """Orbits of the shift a -> a + k (mod m), each followed round: an oracle
     independent of both gcd and the cokernel."""
-    seen, orbits = set(), 0
-    for start in range(m):
-        orbits += start not in seen
-        a = start
-        while a not in seen:
-            seen.add(a)
-            a = (a + k) % m
-    return orbits
+    return len(cycle_lengths([(a + k) % m for a in range(m)]))
 
 
 def boundary2_components(datum: EquisingularDatum) -> tuple[Boundary2Branch, ...]:

@@ -254,6 +254,20 @@ def cycle_type_on_roots(roots, sigma):
     return tuple(sorted(lengths, reverse=True))
 
 
+def cycle_lengths_by_orbits(perm):
+    """The length of each cycle of a permutation of range(n), listed at its
+    least element: each x is followed round from x alone, nothing marked."""
+    lengths = []
+    for x in range(len(perm)):
+        orbit = [x]
+        while perm[orbit[-1]] != x:
+            assert len(orbit) < len(perm), f"the orbit of {x} does not close"
+            orbit.append(perm[orbit[-1]])
+        if min(orbit) == x:
+            lengths.append(len(orbit))
+    return lengths
+
+
 def assert_matches_full_expansion(datum):
     """The collapsed graph against the full expansion: d, V - E, the cycle
     type of the sheet shift on components, and chain_ok per singular branch."""
@@ -291,3 +305,17 @@ def assert_matches_full_expansion(datum):
                          and set().union(*hit) == set(roots)))
     got = [(e.branch, e.chain_ok) for e in boundary2_components(datum)]
     assert got == chain_ok
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` for the test: the returned list gets the
+    positional arguments of each call, in order."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

@@ -11,6 +11,7 @@ from pathlib import Path
 import milnor_lab.report
 import milnor_lab.sweep
 from milnor_lab import build_analysis, cli, make_datum
+from oracles import count_calls
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -36,23 +37,11 @@ def test_every_benchmark_hook_finds_its_function(capsys):
     assert tracer.counters["intlinalg.snf_max_dim"] >= 1
 
 
-def _counting(monkeypatch, module, name):
-    calls = []
-    real = getattr(module, name)
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def test_the_gate_seams_are_reached(monkeypatch):
     # the benchmark's gate self-tests patch these two names to inject a wrong
     # answer; a sweep or report that stops calling them turns those tests off
-    closed_forms = _counting(monkeypatch, milnor_lab.sweep, "euler_characteristic_closed")
-    summaries = _counting(monkeypatch, milnor_lab.report, "fibre_summary")
+    closed_forms = count_calls(monkeypatch, milnor_lab.sweep, "euler_characteristic_closed")
+    summaries = count_calls(monkeypatch, milnor_lab.report, "fibre_summary")
     datum = make_datum([(4, 1), (6, 2)], [[0, 5], [5, 0]])
     assert milnor_lab.sweep.check_datum(datum, milnor_lab.sweep.DEFAULT_PROPERTIES) == []
     assert len(closed_forms) >= 1

@@ -70,49 +70,57 @@ def _branch(n, **change):
     return brk
 
 
-# property, datum, break, the (expected, got) pairs it must report
+# test id, property, datum, break, the (expected, got) pairs it must report.
+# Each id is written with its case, so adding or deleting a case renames no
+# other; the ids below keep the names earlier mutation tables quote, and a new
+# case takes a descriptive one, such as "coker-rank-chain-ok-branch-2"
 BREAKS = [
-    ("lemma-d-gcd", _m46, _no_edges, [("b0 = gcd(m_i) = 2", "b0 = 12")]),
-    ("two-route-chi", _m46, _edge_count_plus_one,
+    ("lemma-d-gcd-0", "lemma-d-gcd", _m46, _no_edges, [("b0 = gcd(m_i) = 2", "b0 = 12")]),
+    ("two-route-chi-1", "two-route-chi", _m46, _edge_count_plus_one,
      [("V - E = closed form = 0", "V - E = -1")]),
-    ("mu-reduced", _node, _edge_count_plus_one,
+    ("mu-reduced-2", "mu-reduced", _node, _edge_count_plus_one,
      [("b1 = 2*delta_total - r + 1 = 1", "b1 = 2")]),
-    ("divide-by-gcd", _m46, _edge_count_plus_one,
+    ("divide-by-gcd-3", "divide-by-gcd", _m46, _edge_count_plus_one,
      [("(b0, b1, chi) = d * reduced = (2, 2, 0)", "(2, 3, -1)")]),
-    ("monodromy-cycle", _m46, _no_edges, [("cycle type [12]", "[2]")]),
-    ("prop1-b1-xr", _x6, _edge_count_plus_one,
+    ("monodromy-cycle-4", "monodromy-cycle", _m46, _no_edges, [("cycle type [12]", "[2]")]),
+    ("prop1-b1-xr-5", "prop1-b1-xr", _x6, _edge_count_plus_one,
      [("b1 = 0 exactly for a power of a smooth branch", "r = 1, delta = [0], b1 = 1")]),
-    ("beta-nonneg", _m46, _rep(beta=-1), [("beta >= 0", "beta = -1")]),
-    ("corollary-beta0", _x6, _rep(verdict_bobadilla=False),
+    ("beta-nonneg-6", "beta-nonneg", _m46, _rep(beta=-1), [("beta >= 0", "beta = -1")]),
+    ("corollary-beta0-7", "corollary-beta0", _x6, _rep(verdict_bobadilla=False),
      [("beta = 0 exactly for a power of a smooth branch",
        "beta = 0, structural verdict = False")]),
-    ("c1-iff-c3", _x6, _rep(c3_homology_form=False),
+    ("c1-iff-c3-8", "c1-iff-c3", _x6, _rep(c3_homology_form=False),
      [("C1 (beta = 0) equivalent to C3 (b1 = 0 and b0 - 1 = sum mu_perp)",
        "C1 = True, C3 = False")]),
-    ("coker-rank", _m46, _branch(1, chain_ok=False),
+    ("coker-rank-9", "coker-rank", _m46, _branch(1, chain_ok=False),
      [("branch 2: boundary components map onto fibre components", "chain_ok = False")]),
-    ("coker-rank", _m46, _branch(0, components=3, chain_ok=False),
+    ("coker-rank-10", "coker-rank", _m46, _branch(0, components=3, chain_ok=False),
      [("branch 1: d | gcd(m, k)", "d = 2, gcd = 3"),
       ("branch 1: boundary components map onto fibre components", "chain_ok = False")]),
-    ("coker-rank", _m46, _branch(0, components=3),
+    ("coker-rank-11", "coker-rank", _m46, _branch(0, components=3),
      [("branch 1: d | gcd(m, k)", "d = 2, gcd = 3")]),
-    ("coker-rank", _m46, _branch(0, chain_ok=False),
+    ("coker-rank-12", "coker-rank", _m46, _branch(0, chain_ok=False),
      [("branch 1: boundary components map onto fibre components", "chain_ok = False")]),
-    ("upper-bound", _x6, _branch(0, shift=1),
+    ("upper-bound-13", "upper-bound", _x6, _branch(0, shift=1),
      [("rank bound attained forces identity vertical monodromies",
        "cokernels_free = True, shifts_identity = False")]),
-    ("prop2-chi-form", _m46, _rep(c1_beta_zero=True),
+    ("prop2-chi-form-14", "prop2-chi-form", _m46, _rep(c1_beta_zero=True),
      [("beta = 0 implies chi(F) = 1 - sum mu_perp",
        "beta = 0, chi-form false (b0 = 2, b1 = 2)")]),
 ]
 
 
 def test_every_property_has_a_break():
-    assert {name for name, *_ in BREAKS} == set(ALL_PROPERTIES)
+    assert {name for _, name, *_ in BREAKS} == set(ALL_PROPERTIES)
 
 
-@pytest.mark.parametrize("name,make,brk,expected", BREAKS,
-                         ids=[f"{case[0]}-{n}" for n, case in enumerate(BREAKS)])
+def test_break_ids_are_unique():
+    ids = [case[0] for case in BREAKS]
+    assert len(set(ids)) == len(ids)
+
+
+@pytest.mark.parametrize("name,make,brk,expected", [case[1:] for case in BREAKS],
+                         ids=[case[0] for case in BREAKS])
 def test_property_fires_on_its_break(name, make, brk, expected, monkeypatch):
     datum = make()
     facts = datum_facts(datum)

@@ -26,7 +26,7 @@ from milnor_lab import (
     validate,
 )
 from milnor_lab.datum import expand_spec
-from oracles import canonical_key
+from oracles import canonical_key, count_calls
 
 
 # -- validation ---------------------------------------------------------------
@@ -67,18 +67,6 @@ def test_validate_nonzero_diagonal():
     assert any("diagonal" in v for v in violations)
 
 
-def _counted_validations(monkeypatch) -> list:
-    calls = []
-    real = milnor_lab.datum.validate
-
-    def counted(datum):
-        calls.append(datum)
-        return real(datum)
-
-    monkeypatch.setattr(milnor_lab.datum, "validate", counted)
-    return calls
-
-
 _NODE = make_datum([(1, 0), (1, 0)], [[0, 1], [1, 0]])
 _UNMET = ((0, 0), (0, 0))  # two distinct germs that do not meet: invalid
 
@@ -96,7 +84,7 @@ _BUILDERS = {
 
 @pytest.mark.parametrize("route", sorted(_BUILDERS))
 def test_invalid_datum_cannot_be_built(route, monkeypatch):
-    calls = _counted_validations(monkeypatch)
+    calls = count_calls(monkeypatch, milnor_lab.datum, "validate")
     with pytest.raises(ValidationError) as info:
         _BUILDERS[route]()
     assert info.value.violations == [
@@ -135,7 +123,7 @@ def test_public_functions_reject_invalid_datum(name, monkeypatch):
     # an invalid one; the function checks none of the datums it is handed
     with pytest.raises(ValidationError):
         make_datum([(0, -1)], [[0]])
-    calls = _counted_validations(monkeypatch)
+    calls = count_calls(monkeypatch, milnor_lab.datum, "validate")
     _DATUM_CONSUMERS[name](_NODE if name == "mu_reduced" else _SINGULAR)  # reduced only
     # only from_power makes a datum (f^2 of a gcd-1 datum)
     assert len(calls) == (name == "from_power")

@@ -44,6 +44,8 @@ from oracles import (
     LARGE_INTEGER_SPECS,
     assert_matches_full_expansion,
     brute_roots,
+    count_calls,
+    cycle_lengths_by_orbits,
     double_point_count_by_entries,
     euler_characteristic_by_entries,
     expand_fibre_graph,
@@ -130,6 +132,21 @@ def test_monodromy_monomial_4_6():
     assert component_monodromy(from_monomial(4, 6)).cycle_type == (2,)
 
 
+def test_cycle_lengths_match_a_brute_force_count():
+    # the one cycle walk of the package: the component monodromy and the
+    # boundary's orbit oracle both read it
+    rng = random.Random(20160209)
+    perms = [[], [0], list(range(7)), [(a + 1) % 9 for a in range(9)]]
+    for _ in range(200):
+        perm = list(range(rng.randint(1, 60)))
+        rng.shuffle(perm)
+        perms.append(perm)
+    for perm in perms:
+        lengths = milnor_lab.fibre.cycle_lengths(perm)
+        assert sum(lengths) == len(perm)
+        assert lengths == cycle_lengths_by_orbits(perm), perm
+
+
 def test_divide_by_gcd_arithmetic():
     datum = make_datum([(6, 0), (4, 1)], [[0, 2], [2, 0]])
     d, reduced = divide_by_gcd(datum)
@@ -152,22 +169,10 @@ def test_divide_by_gcd_coprime_identity():
     assert d == 1 and reduced == datum
 
 
-def _count_calls(monkeypatch, module, name):
-    calls = []
-    real = getattr(module, name)
-
-    def counted(datum):
-        calls.append(datum)
-        return real(datum)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def test_build_analysis_builds_one_graph_and_validates_once(monkeypatch):
-    builds = _count_calls(monkeypatch, milnor_lab.fibre, "build_fibre_graph")
-    validations = _count_calls(monkeypatch, milnor_lab.datum, "validate")
-    closed_forms = _count_calls(monkeypatch, milnor_lab.fibre, "euler_characteristic_closed")
+    builds = count_calls(monkeypatch, milnor_lab.fibre, "build_fibre_graph")
+    validations = count_calls(monkeypatch, milnor_lab.datum, "validate")
+    closed_forms = count_calls(monkeypatch, milnor_lab.fibre, "euler_characteristic_closed")
     datum = make_datum([(4, 1), (6, 2)], [[0, 5], [5, 0]])
     report = build_analysis(datum)
     assert report["beta"] is not None and report["vertical"]
@@ -177,7 +182,7 @@ def test_build_analysis_builds_one_graph_and_validates_once(monkeypatch):
 
 
 def test_one_graph_per_datum_object(monkeypatch):
-    builds = _count_calls(monkeypatch, milnor_lab.fibre, "build_fibre_graph")
+    builds = count_calls(monkeypatch, milnor_lab.fibre, "build_fibre_graph")
     datum = make_datum([(4, 1), (6, 2)], [[0, 5], [5, 0]])
     fibre_summary(datum)
     component_monodromy(datum)
@@ -185,13 +190,13 @@ def test_one_graph_per_datum_object(monkeypatch):
     boundary2_components(datum)
     classify_xr(datum)
     build_analysis(datum)
-    assert builds == [datum]
+    assert builds == [(datum,)]
 
     # the graph is kept on the object, not by value
     twin = make_datum([(4, 1), (6, 2)], [[0, 5], [5, 0]])
     assert twin == datum
     assert build_analysis(twin) == build_analysis(datum)
-    assert len(builds) == 2 and builds[1] is twin
+    assert len(builds) == 2 and builds[1][0] is twin
 
 
 def test_datum_with_list_rows_analyses():
@@ -222,8 +227,8 @@ def test_checked_datum_pickles_as_its_two_fields():
 
 def test_check_datum_runs_the_closed_form_once(monkeypatch):
     # wherever it is looked up: the sweep calls it by its own module global
-    in_fibre = _count_calls(monkeypatch, milnor_lab.fibre, "euler_characteristic_closed")
-    in_sweep = _count_calls(monkeypatch, milnor_lab.sweep, "euler_characteristic_closed")
+    in_fibre = count_calls(monkeypatch, milnor_lab.fibre, "euler_characteristic_closed")
+    in_sweep = count_calls(monkeypatch, milnor_lab.sweep, "euler_characteristic_closed")
     datum = make_datum([(4, 1), (6, 2)], [[0, 5], [5, 0]])
     assert milnor_lab.sweep.check_datum(datum, milnor_lab.sweep.DEFAULT_PROPERTIES) == []
     assert len(in_fibre) + len(in_sweep) == 1
@@ -232,14 +237,7 @@ def test_check_datum_runs_the_closed_form_once(monkeypatch):
 def test_check_datum_weighs_the_copies_once_when_the_gcd_is_1(monkeypatch):
     # such a datum is its own reduced datum: divide-by-gcd reads the datum's
     # (b0, b1, chi) and weighs no copies a second time
-    weighed = []
-    real = milnor_lab.sweep.weighed_counts
-
-    def counted(*args):
-        weighed.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(milnor_lab.sweep, "weighed_counts", counted)
+    weighed = count_calls(monkeypatch, milnor_lab.sweep, "weighed_counts")
     datums = list(enumerate_corpus(CorpusBounds(3, 3, 1, 2)))
     coprime = [datum for datum in datums if gcd(*datum.multiplicities) == 1]
     memo = {}
@@ -256,7 +254,7 @@ def test_check_datum_weighs_the_copies_once_when_the_gcd_is_1(monkeypatch):
 def test_boundary_route_runs_once_per_datum(monkeypatch):
     # the upper-bound verdict is read off the boundary report, so x^m, whose
     # hypothesis holds, reduces its one cokernel once, not once per reader
-    cokernels = _count_calls(monkeypatch, milnor_lab.invariants, "cokernel")
+    cokernels = count_calls(monkeypatch, milnor_lab.invariants, "cokernel")
     report = build_analysis(make_datum([(5, 0)], [[0]]))
     assert report["upper_bound"]["hypothesis"] and report["vertical"]
     assert len(cokernels) == 1
@@ -282,7 +280,7 @@ def test_sweep_memo_graph_matches_a_fresh_build(monkeypatch):
     # one memo over the corpus, as a sweep holds it: a datum whose shape was
     # built before reads the kept graph, weighs it with its own copies, and
     # must not differ from a fresh build
-    builds = _count_calls(monkeypatch, milnor_lab.fibre, "build_fibre_graph")
+    builds = count_calls(monkeypatch, milnor_lab.fibre, "build_fibre_graph")
     memo = {}
     shared = 0
     for datum in enumerate_corpus(CorpusBounds(3, 3, 2, 2)):
@@ -301,8 +299,8 @@ def test_sweep_memo_graph_matches_a_fresh_build(monkeypatch):
 
 
 def test_sweep_memo_lives_one_sweep(monkeypatch):
-    builds = _count_calls(monkeypatch, milnor_lab.fibre, "build_fibre_graph")
-    cokernels = _count_calls(monkeypatch, milnor_lab.invariants, "cokernel")
+    builds = count_calls(monkeypatch, milnor_lab.fibre, "build_fibre_graph")
+    cokernels = count_calls(monkeypatch, milnor_lab.invariants, "cokernel")
     counts = []
     for _ in range(2):
         result = milnor_lab.sweep.run_sweep(CorpusBounds(3, 3, 1, 2))
@@ -359,20 +357,15 @@ def test_check_datum_property_alone_matches_full_suite():
 
 
 def test_check_datum_reads_beta_once_per_singular_datum(monkeypatch):
-    reports = []
     real = milnor_lab.sweep.beta_report
-
-    def counted(*args):
-        reports.append(real(*args))
-        return reports[-1]
-
-    monkeypatch.setattr(milnor_lab.sweep, "beta_report", counted)
+    calls = count_calls(monkeypatch, milnor_lab.sweep, "beta_report")
     reduced = make_datum([(1, 2), (1, 0)], [[0, 3], [3, 0]])
     assert milnor_lab.sweep.check_datum(reduced, milnor_lab.sweep.DEFAULT_PROPERTIES) == []
-    assert reports == []
+    assert calls == []
     singular = make_datum([(4, 1), (6, 2)], [[0, 5], [5, 0]])
     assert milnor_lab.sweep.check_datum(singular, milnor_lab.sweep.DEFAULT_PROPERTIES) == []
     # one report, and it is the one beta() gives on the analyze path
+    reports = [real(*args) for args in calls]
     assert reports == [beta(make_datum([(4, 1), (6, 2)], [[0, 5], [5, 0]]))]
 
 

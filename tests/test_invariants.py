@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 
 import milnor_lab.intlinalg
+import milnor_lab.invariants
 from milnor_lab import (
     ReducedDatumError,
     beta,
@@ -15,13 +16,15 @@ from milnor_lab import (
     build_analysis,
     check_upper_bound,
     classify_xr,
+    cokernel,
     fibre_summary,
     from_monomial,
     make_datum,
     mu_reduced,
     vertical_shift,
 )
-from oracles import permutation_matrix
+from milnor_lab.invariants import shift_minus_identity
+from oracles import count_calls, permutation_matrix
 
 
 # -- transversal data ---------------------------------------------------------
@@ -164,17 +167,23 @@ def test_vertical_matrix_is_single_cycle_permutation():
 def test_boundary2_dense_smith_form_sees_no_columns(monkeypatch):
     # unit-pivot elimination empties every column of a shift minus the
     # identity, so the dense SNF only ever gets a g x 0 block, never m x m
-    original = milnor_lab.intlinalg.smith_normal_form
-    shapes = []
-
-    def recording(matrix, *rest):
-        shapes.append((matrix.rows, matrix.cols))
-        return original(matrix, *rest)
-
-    monkeypatch.setattr(milnor_lab.intlinalg, "smith_normal_form", recording)
+    calls = count_calls(monkeypatch, milnor_lab.intlinalg, "smith_normal_form")
     entries = boundary2_components(from_monomial(200, 199))
     assert [e.components for e in entries] == [1, 1]
-    assert shapes == [(1, 0), (1, 0)]
+    assert [(matrix.rows, matrix.cols) for matrix, *_ in calls] == [(1, 0), (1, 0)]
+    for m in range(1, 41):
+        for k in range(m):
+            calls.clear()
+            cokernel(shift_minus_identity(m, k))
+            shapes = [(matrix.rows, matrix.cols) for matrix, *_ in calls]
+            assert shapes == [(gcd(m, k), 0)], (m, k)
+
+
+def test_orbit_walk_counts_gcd_orbits():
+    # the boundary's third route, as test_cyclic_shift_cokernels checks the cokernel
+    for m in range(1, 61):
+        for k in range(m):
+            assert milnor_lab.invariants._orbits(m, k) == gcd(m, k), (m, k)
 
 
 def test_boundary2_peaks_below_a_copy_of_its_matrix():

@@ -33,8 +33,13 @@ COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 MUTANTS = {
     "orbit-oracle-step-1": (
         "src/milnor_lab/invariants.py",
-        "a = (a + k) % m",
-        "a = (a + 1) % m",
+        "return len(cycle_lengths([(a + k) % m for a in range(m)]))",
+        "return len(cycle_lengths([(a + 1) % m for a in range(m)]))",
+    ),
+    "cycle-lengths-keeps-empty-walks": (
+        "src/milnor_lab/fibre.py",
+        "if length:",
+        "if True:",
     ),
     "validate-drops-meet": (
         "src/milnor_lab/datum.py",
